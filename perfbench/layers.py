@@ -22,7 +22,8 @@ MO_OPERATORS = ("sbx", "polynomial_mutation", "nondominated_sort",
                 "crowding_distance", "spea2_fitness", "tchebycheff")
 
 
-def _maxrss_mb() -> float:
+def maxrss_mb() -> float:
+    """This process's peak resident set size so far."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
@@ -51,9 +52,9 @@ def install(tracer) -> None:
         plain(cli, f"cmd_{stage}", name=f"cli.{stage}")
 
     plain(dataset, "lof_scores",
-          before=lambda args, kwargs: (args, kwargs, _maxrss_mb()),
+          before=lambda args, kwargs: (args, kwargs, maxrss_mb()),
           after=lambda ctx, args, out: count(
-              "dataset.lof_scores.rss_delta_mb", _maxrss_mb() - ctx))
+              "dataset.lof_scores.rss_delta_mb", maxrss_mb() - ctx))
 
     def kept(ctx, args, mask):
         count("dataset.lof.rows_in", len(mask))

@@ -19,12 +19,13 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
-import resource  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from drafttube import cli, dataset, evaluator, surrogate  # noqa: E402
-from perfbench import checks  # noqa: E402
+from perfbench import checks, layers  # noqa: E402
+from perfbench.layers import MOEAS, SOEAS, maxrss_mb  # noqa: E402
+from perfbench.tracer import Tracer  # noqa: E402
 
 # Pipeline size: 3000 samples and NSGA-II 100 x 150 is the smallest size
 # tried at which the pick beat the reference on every seed (0-60); at 2000
@@ -43,12 +44,6 @@ SIZES = {
 
 SEED_STRIDE = 1_000_003
 FIXTURE_SEED = 7  # the seed of the program's documented default run
-MOEAS = ("nsga2", "spea2", "moead")
-SOEAS = ("pso", "fwa", "lshade")
-
-
-def _maxrss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 @contextlib.contextmanager
@@ -236,8 +231,6 @@ def main(argv=None) -> int:
         run = Run(args.workload, args.seed, log)
         tracer = None
         if args.trace:
-            from perfbench import layers
-            from perfbench.tracer import Tracer
             tracer = Tracer()
             layers.install(tracer)
         if setup is not None:
@@ -259,7 +252,7 @@ def main(argv=None) -> int:
                 if tracer is not None:
                     tracer.restore()
             result.update(walls=walls, stages=stages[0],
-                          peak_rss_mb=_maxrss_mb())
+                          peak_rss_mb=maxrss_mb())
         run.ops.finish()
         if not args.setup_only and run.ops.failed == 0:
             # Round 0 has the same inputs on every machine, however many

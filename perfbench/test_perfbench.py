@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -85,7 +86,6 @@ def test_patch_covers_aliases_and_classmethods_and_restores():
             return (cls, x)
 
     owner.f = alias.f = f
-    import sys
     sys.modules[owner.__name__] = owner
     sys.modules[alias.__name__] = alias
     try:

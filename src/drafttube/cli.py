@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +66,6 @@ CONFIG_KEYS = {
     "lof_k": (int, 20),
     "lof_threshold": (float, 1.5),
     "train_ratio": (float, 0.8),
-    "workers": (int, 1),
 }
 
 SO_OPTIMIZERS = ("pso", "fwa", "lshade")
@@ -89,6 +87,8 @@ def load_config(path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
+        if key == "workers":  # retired; older config files still carry it
+            continue
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
@@ -119,8 +119,7 @@ def effective_config(args) -> dict:
         raise UsageError(str(exc)) from None
     if cfg["optimizer"] not in SO_OPTIMIZERS + MO_OPTIMIZERS:
         raise UsageError(f"unknown optimizer {cfg['optimizer']!r}")
-    for key in ("samples", "trials", "generations", "pop_size", "workers",
-                "lof_k"):
+    for key in ("samples", "trials", "generations", "pop_size", "lof_k"):
         if cfg[key] < 1:
             raise UsageError(f"{key} must be >= 1")
     if not 0.5 <= cfg["train_ratio"] <= 0.95:
@@ -132,12 +131,8 @@ def effective_config(args) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    """Short stable digest of the effective configuration.
-
-    The worker count is excluded: it changes throughput, never results.
-    """
-    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(CONFIG_KEYS)
-                      if k != "workers")
+    """Short stable digest of the effective configuration."""
+    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(CONFIG_KEYS))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -182,38 +177,36 @@ def check_lineage(path, cfg: dict, expect_stage: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Oracle evaluation (optionally in worker processes)
+# Design rows and oracle evaluation
 # ---------------------------------------------------------------------------
 
-_worker_ctx: dict = {}
+def check_design_rows(path, X: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Return the scenario bounds after checking X's width and bounds.
+
+    The first row outside the bounds is named by its 1-based data-row index.
+    """
+    lb, ub = geometry.scenario_bounds(cfg["scenario"])
+    if X.shape[1] != len(lb):
+        raise DataError(f"{path}: {X.shape[1]} variables do not match "
+                        f"scenario {cfg['scenario']} ({len(lb)})")
+    outside = np.any((X < lb - 1e-12) | (X > ub + 1e-12), axis=1)
+    if outside.any():
+        raise DataError(f"{path}: row {int(np.argmax(outside)) + 1} violates "
+                        f"the {cfg['scenario']} bounds")
+    return lb, ub
 
 
-def _init_oracle_worker():
-    _worker_ctx["reference"] = geometry.load_reference()
-    _worker_ctx["constants"] = evaluator.OracleConstants.load()
-
-
-def _oracle_row(task):
-    row, lb, ub = task
-    if not _worker_ctx:
-        _init_oracle_worker()
-    design = geometry.synthesize(
-        _worker_ctx["reference"],
-        geometry.DesignVector(np.asarray(row), lb, ub))
-    obj = evaluator.synthetic_cfd(design, _worker_ctx["constants"])
-    return obj.cp, obj.cd
-
-
-def evaluate_samples(X: np.ndarray, lb, ub, workers: int = 1) -> np.ndarray:
+def evaluate_samples(X: np.ndarray, lb, ub) -> np.ndarray:
     """Map sample rows through the synthetic oracle, preserving order."""
-    tasks = [(row, lb, ub) for row in X]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_oracle_worker) as pool:
-            pairs = list(pool.map(_oracle_row, tasks, chunksize=64))
-    else:
-        pairs = [_oracle_row(t) for t in tasks]
-    return np.array(pairs)
+    reference = geometry.load_reference()
+    constants = evaluator.OracleConstants.load()
+    Y = np.empty((len(X), 2))
+    for i, row in enumerate(X):
+        design = geometry.synthesize(reference,
+                                     geometry.DesignVector(row, lb, ub))
+        obj = evaluator.synthetic_cfd(design, constants)
+        Y[i] = obj.cp, obj.cd
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +223,9 @@ def cmd_sample(args, cfg) -> int:
 
 
 def cmd_evaluate(args, cfg) -> int:
-    lb, ub = geometry.scenario_bounds(cfg["scenario"])
     if args.external:
         X, Y = evaluator.ingest_csv(args.external)
-        if X.shape[1] != len(lb):
-            raise DataError(f"{args.external}: {X.shape[1]} variables do not "
-                            f"match scenario {cfg['scenario']} ({len(lb)})")
-        if np.any(X < lb - 1e-12) or np.any(X > ub + 1e-12):
-            raise DataError(f"{args.external}: samples violate the "
-                            f"{cfg['scenario']} bounds")
+        check_design_rows(args.external, X, cfg)
         source = f"external file {args.external}"
     else:
         check_lineage(args.infile, cfg, "sample")
@@ -246,10 +233,7 @@ def cmd_evaluate(args, cfg) -> int:
             X = doe.read_samples_csv(args.infile)
         except ValueError as exc:
             raise DataError(str(exc)) from None
-        if X.shape[1] != len(lb):
-            raise DataError(f"{args.infile}: {X.shape[1]} variables do not "
-                            f"match scenario {cfg['scenario']} ({len(lb)})")
-        Y = evaluate_samples(X, lb, ub, workers=cfg["workers"])
+        Y = evaluate_samples(X, *check_design_rows(args.infile, X, cfg))
         source = "synthetic oracle"
     evaluator.write_dataset_csv(args.out, X, Y,
                                 lineage_comment("evaluate", cfg))
@@ -265,10 +249,7 @@ def _tuned_config(scenario: str) -> surrogate.MlpConfig:
 def _prepare_dataset(path, cfg) -> ds.Dataset:
     check_lineage(path, cfg, "evaluate")
     X, Y = evaluator.ingest_csv(path)
-    lb, _ = geometry.scenario_bounds(cfg["scenario"])
-    if X.shape[1] != len(lb):
-        raise DataError(f"{path}: {X.shape[1]} variables do not match "
-                        f"scenario {cfg['scenario']} ({len(lb)})")
+    check_design_rows(path, X, cfg)
     try:
         return ds.Dataset.prepare(X, Y, ratio=cfg["train_ratio"],
                                   seed=cfg["seed"], k_neighbors=cfg["lof_k"],
@@ -408,13 +389,10 @@ def cmd_optimize(args, cfg) -> int:
 def cmd_decide(args, cfg) -> int:
     check_lineage(args.infile, cfg, "optimize")
     X, Y = evaluator.ingest_csv(args.infile)
-    lb, ub = geometry.scenario_bounds(cfg["scenario"])
-    if X.shape[1] != len(lb):
-        raise DataError(f"{args.infile}: {X.shape[1]} variables do not match "
-                        f"scenario {cfg['scenario']} ({len(lb)})")
+    lb, ub = check_design_rows(args.infile, X, cfg)
     if args.rescore:
         # Validate the surrogate front against the ground-truth evaluator.
-        Y = evaluate_samples(X, lb, ub, workers=cfg["workers"])
+        Y = evaluate_samples(X, lb, ub)
     w = np.array([cfg["weight_cp"], cfg["weight_cd"]])
     w = w / w.sum()
     try:
@@ -521,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optimization scenario")
     common.add_argument("--seed", type=int,
                         help=f"global seed (default from ${SEED_ENV_VAR})")
-    common.add_argument("--workers", type=int, help="worker processes")
 
     parser = argparse.ArgumentParser(
         prog="drafttube",

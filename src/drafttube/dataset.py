@@ -6,7 +6,6 @@ training rows only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +189,3 @@ class Dataset:
     @property
     def Y_test(self) -> np.ndarray:
         return self.y_scaler.apply(self.Y[self.test_idx])
-
-    def scalers_json(self) -> str:
-        return json.dumps({"x": self.x_scaler.to_dict(),
-                           "y": self.y_scaler.to_dict()})

@@ -68,7 +68,10 @@ def write_samples_csv(path, samples: np.ndarray, header_comment: str = "") -> No
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a sample matrix written by write_samples_csv (comments skipped)."""
+    """Read a sample matrix written by write_samples_csv (comments skipped).
+
+    Malformed rows and non-finite values raise with the offending line number.
+    """
     with open(path, newline="") as fh:
         lines = [(i + 1, ln) for i, ln in enumerate(fh)
                  if ln.strip() and not ln.startswith("#")]
@@ -85,7 +88,10 @@ def read_samples_csv(path) -> np.ndarray:
             raise ValueError(f"{path}:{lineno}: expected {m} columns, "
                              f"got {len(parts)}")
         try:
-            rows.append([float(v) for v in parts])
+            row = [float(v) for v in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        rows.append(row)
     return np.array(rows).reshape(len(rows), m)

@@ -351,7 +351,6 @@ def synthesize(reference: ReferenceGeometry, x: DesignVector) -> DraftTubeDesign
     floor = reference.floor.with_offsets(floor_dy)
     width = reference.width.with_offsets(width_dy)
 
-    x_lo = max(roof.domain[0], floor.domain[0], width.domain[0])
     xs_r = _dense_x(roof)
     xs = np.linspace(xs_r[0], xs_r[-1], N_STATIONS)
     roof_y = _curve_y(roof, xs)

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "MoProblem",
     "NsgaConfig",
-    "SpeaConfig",
     "MoeadConfig",
     "ParetoArchive",
     "dominates",
@@ -62,9 +61,6 @@ class NsgaConfig:
     p_c: float = 0.9
     p_m: float = 0.1
     eta: float = 20.0
-
-
-SpeaConfig = NsgaConfig  # same parameter set; SPEA2 archive size = pop size
 
 
 @dataclass(frozen=True)

@@ -335,14 +335,6 @@ class MetricsReport:
     r2: np.ndarray     # per target
 
     @property
-    def mean_mape(self) -> float:
-        return float(np.mean(self.mape))
-
-    @property
-    def mean_rrmse(self) -> float:
-        return float(np.mean(self.rrmse))
-
-    @property
     def mean_r2(self) -> float:
         return float(np.mean(self.r2))
 

@@ -32,6 +32,14 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _set_x1(path, row, value):
+    """Overwrite x1 of the 1-based data row ``row`` (after lineage, header)."""
+    lines = open(path).read().splitlines(keepends=True)
+    parts = lines[row + 1].split(",")
+    lines[row + 1] = ",".join([value] + parts[1:])
+    open(path, "w").writelines(lines)
+
+
 class TestConfig:
     def test_file_parsing_with_comments(self):
         cfg = load_config("run.cfg")
@@ -81,6 +89,24 @@ class TestExitCodes:
         assert main(["sample", "--config", "run.cfg"]) == 0
         assert main(["evaluate", "--config", "run.cfg",
                      "--scenario", "I.a"]) == 3
+
+    @pytest.mark.parametrize("value,where", [("0.9", "row 3"),
+                                             ("nan", "samples.csv:5")])
+    def test_bad_sample_row_is_3_and_named(self, capsys, value, where):
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        _set_x1("samples.csv", 3, value)
+        assert main(["evaluate", "--config", "run.cfg"]) == 3
+        assert where in capsys.readouterr().err
+
+    def test_out_of_bounds_front_row_is_3_and_named(self, capsys):
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        assert main(["evaluate", "--config", "run.cfg"]) == 0
+        text = open("dataset.csv").read()
+        open("front.csv", "w").write(
+            text.replace("stage=evaluate", "stage=optimize", 1))
+        _set_x1("front.csv", 2, "0.9")
+        assert main(["decide", "--config", "run.cfg"]) == 3
+        assert "row 2" in capsys.readouterr().err
 
     def test_diverging_gci_is_3(self):
         assert main(["gci", "0.5", "1.0", "1.5"]) == 3
@@ -188,11 +214,13 @@ class TestDeterminism:
                           open("dataset.csv", "rb").read()))
         assert blobs[0] == blobs[1]
 
-    def test_parallel_evaluation_matches_serial(self):
+    def test_retired_workers_key_changes_nothing(self, tmp_path):
+        (tmp_path / "workers.cfg").write_text(SMALL_CFG + "workers = 3\n")
         assert main(["sample", "--config", "run.cfg"]) == 0
         assert main(["evaluate", "--config", "run.cfg",
-                     "--out", "serial.csv"]) == 0
-        assert main(["evaluate", "--config", "run.cfg", "--workers", "3",
-                     "--out", "parallel.csv"]) == 0
-        assert open("serial.csv", "rb").read() == \
-            open("parallel.csv", "rb").read()
+                     "--out", "plain.csv"]) == 0
+        assert main(["evaluate", "--config", "workers.cfg",
+                     "--out", "workers.csv"]) == 0
+        # Byte identity covers the lineage line and its config digest.
+        assert open("plain.csv", "rb").read() == \
+            open("workers.csv", "rb").read()

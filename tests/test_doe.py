@@ -70,3 +70,10 @@ class TestCsvRoundTrip:
         path.write_text("x1,x2\n1.0,2.0\n3.0\n")
         with pytest.raises(ValueError):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_values_with_line(self, tmp_path, bad):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"# lineage\nx1,x2\n0.1,0.2\n{bad},0.0\n")
+        with pytest.raises(ValueError, match=r"nan\.csv:4: non-finite"):
+            read_samples_csv(path)

@@ -9,6 +9,7 @@ every curve stay fixed so the inlet is never modified.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -122,9 +123,38 @@ class BSplineCurve:
 
 
 def basis_matrix(curve_knots, n_ctrl: int, k: int, ts) -> np.ndarray:
-    """Matrix B with B[j, i] = N_{i,k}(ts[j]); the right domain end is closed."""
+    """Matrix B with B[j, i] = N_{i,k}(ts[j]); the right domain end is closed.
+
+    Basis values depend only on the knots and the parameters, and the
+    synthesizer asks for the same few (knots, ts) pairs for every design, so
+    results are memoized on the exact bytes of the inputs. The returned
+    matrix is shared between callers and therefore read-only.
+    """
     knots = np.asarray(curve_knots, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    return _memo_basis_matrix(knots.tobytes(), int(n_ctrl), int(k),
+                              ts.tobytes(), ts.shape)
+
+
+# Each scenario asks for about three distinct matrices (roof, floor, width).
+_BASIS_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _memo_basis_matrix(knots_bytes: bytes, n_ctrl: int, k: int,
+                       ts_bytes: bytes, ts_shape: tuple) -> np.ndarray:
+    # lru_cache stores no result for a call that raises, so an out-of-range
+    # ``ts`` raises GeometryError on every call.
+    B = _cox_de_boor_matrix(np.frombuffer(knots_bytes), n_ctrl, k,
+                            np.frombuffer(ts_bytes).reshape(ts_shape))
+    # B is a column slice of its base; lock both so the flag cannot be reset.
+    B.base.flags.writeable = False
+    B.flags.writeable = False
+    return B
+
+
+def _cox_de_boor_matrix(knots: np.ndarray, n_ctrl: int, k: int,
+                        ts: np.ndarray) -> np.ndarray:
     t_lo, t_hi = knots[k - 1], knots[n_ctrl]
     if np.any(ts < t_lo - 1e-12) or np.any(ts > t_hi + 1e-12):
         raise GeometryError("parameter outside the valid knot range")

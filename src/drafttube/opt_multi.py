@@ -109,9 +109,6 @@ class ParetoArchive:
         keep = np.sort(np.array(keep))
         self.X, self.F = X[keep], F[keep]
 
-    def add(self, x, f):
-        self.add_many(np.atleast_2d(x), np.atleast_2d(f))
-
     def front(self) -> np.ndarray:
         return self.F.copy()
 

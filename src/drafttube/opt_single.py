@@ -21,7 +21,6 @@ __all__ = [
     "run_pso",
     "run_fwa",
     "run_lshade",
-    "negate_for_max",
     "linear_inertia",
     "lshade_population_schedule",
 ]
@@ -56,13 +55,6 @@ class SoResult:
     best_f: float
     trace: np.ndarray  # best-so-far per generation
     n_evals: int
-
-
-def negate_for_max(f):
-    """Wrap a to-be-maximized objective for the minimizers."""
-    def neg(x):
-        return -f(x)
-    return neg
 
 
 def _eval_all(objective, X) -> np.ndarray:

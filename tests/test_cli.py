@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drafttube import cli
+from drafttube import cli, doe, geometry
 from drafttube.cli import (
     DataError,
     UsageError,
@@ -213,6 +213,17 @@ class TestDeterminism:
             blobs.append((open("samples.csv", "rb").read(),
                           open("dataset.csv", "rb").read()))
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("scenario", ["I.b", "II.a"])
+    def test_oracle_rows_ignore_basis_cache_and_row_order(self, scenario):
+        lb, ub = geometry.scenario_bounds(scenario)
+        X = doe.lhs(doe.DoePlan(12, lb, ub, seed=5))
+        geometry._memo_basis_matrix.cache_clear()
+        cold = cli.evaluate_samples(X, lb, ub)
+        warm = cli.evaluate_samples(X, lb, ub)
+        geometry._memo_basis_matrix.cache_clear()
+        reversed_back = cli.evaluate_samples(X[::-1], lb, ub)[::-1]
+        assert cold.tobytes() == warm.tobytes() == reversed_back.tobytes()
 
     def test_retired_workers_key_changes_nothing(self, tmp_path):
         (tmp_path / "workers.cfg").write_text(SMALL_CFG + "workers = 3\n")

@@ -66,6 +66,50 @@ class TestBasis:
         assert np.all(knots[-3:] == knots[-1])
 
 
+class TestBasisMemo:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        geometry._memo_basis_matrix.cache_clear()
+        yield
+        geometry._memo_basis_matrix.cache_clear()
+
+    def test_warm_call_returns_the_cold_bytes(self):
+        knots = clamped_knots(9, 3)
+        ts = np.linspace(0.0, 1.0, 801)
+        fresh = geometry._cox_de_boor_matrix(knots, 9, 3, ts)
+        cold = basis_matrix(knots, 9, 3, ts)
+        warm = basis_matrix(list(knots), 9, 3, ts.copy())
+        assert geometry._memo_basis_matrix.cache_info().hits == 1
+        assert cold.tobytes() == warm.tobytes() == fresh.tobytes()
+        assert cold.strides == fresh.strides
+
+    def test_shared_matrix_is_read_only(self):
+        B = basis_matrix(clamped_knots(6, 3), 6, 3, np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ValueError):
+            B[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            B.flags.writeable = True
+        with pytest.raises(ValueError):
+            B.base[0, 0] = 1.0
+
+    def test_cache_stays_within_its_bound(self):
+        knots = clamped_knots(6, 3)
+        for n in range(2, 2 + 3 * geometry._BASIS_CACHE_SIZE):
+            ts = np.linspace(0.0, 1.0, n)
+            np.testing.assert_array_equal(
+                basis_matrix(knots, 6, 3, ts),
+                geometry._cox_de_boor_matrix(knots, 6, 3, ts))
+        info = geometry._memo_basis_matrix.cache_info()
+        assert info.currsize <= geometry._BASIS_CACHE_SIZE
+
+    def test_out_of_range_raises_on_every_call(self):
+        knots = clamped_knots(6, 3)
+        for _ in range(3):
+            with pytest.raises(GeometryError):
+                basis_matrix(knots, 6, 3, [0.5, 1.5])
+        assert geometry._memo_basis_matrix.cache_info().currsize == 0
+
+
 class TestCurve:
     def test_endpoint_interpolation(self):
         curve = make_curve(seed=3)

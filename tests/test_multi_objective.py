@@ -123,8 +123,8 @@ class TestParetoArchive:
         batch = ParetoArchive()
         batch.add_many(X, F)
         inc = ParetoArchive()
-        for x, f in zip(X, F):
-            inc.add(x, f)
+        for i in range(len(F)):
+            inc.add_many(X[i:i + 1], F[i:i + 1])
         a, b = batch.front(), inc.front()
         np.testing.assert_allclose(a[np.lexsort((a[:, 1], a[:, 0]))],
                                    b[np.lexsort((b[:, 1], b[:, 0]))])

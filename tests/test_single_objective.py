@@ -8,7 +8,6 @@ from drafttube.opt_single import (
     SoProblem,
     linear_inertia,
     lshade_population_schedule,
-    negate_for_max,
     run_fwa,
     run_lshade,
     run_pso,
@@ -40,10 +39,6 @@ class TestProblem:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             SoProblem(sphere, np.zeros(2), np.ones(2), budget=0)
-
-    def test_negate_for_max(self):
-        f = negate_for_max(lambda x: 3.0)
-        assert f(None) == -3.0
 
 
 class TestHelpers:

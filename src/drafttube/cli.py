@@ -229,10 +229,7 @@ def cmd_evaluate(args, cfg) -> int:
         source = f"external file {args.external}"
     else:
         check_lineage(args.infile, cfg, "sample")
-        try:
-            X = doe.read_samples_csv(args.infile)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
+        X = doe.read_samples_csv(args.infile)
         Y = evaluate_samples(X, *check_design_rows(args.infile, X, cfg))
         source = "synthetic oracle"
     evaluator.write_dataset_csv(args.out, X, Y,
@@ -294,14 +291,13 @@ def cmd_tune(args, cfg) -> int:
     best_cfg, best_score, log = surrogate.tune(
         data.X_train, data.Y_train, trials=cfg["trials"], seed=cfg["seed"],
         epochs=args.epochs, patience=args.patience)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(f"# {lineage_comment('tune', cfg)}\n")
-        fh.write("trial,score_r2,hidden_layers,dropout,learning_rate,"
-                 "activation,initializer\n")
-        for i, (c, score) in enumerate(log):
-            fh.write(f"{i},{score:.17g},{'x'.join(map(str, c.hidden_layers))},"
-                     f"{'x'.join(f'{d:g}' for d in c.dropout)},"
-                     f"{c.learning_rate:g},{c.activation},{c.initializer}\n")
+    evaluator.write_table(
+        args.out, lineage_comment("tune", cfg),
+        ["trial", "score_r2", "hidden_layers", "dropout", "learning_rate",
+         "activation", "initializer"],
+        ([i, score, "x".join(map(str, c.hidden_layers)),
+          "x".join(f"{d:g}" for d in c.dropout), f"{c.learning_rate:g}",
+          c.activation, c.initializer] for i, (c, score) in enumerate(log)))
     print(f"best of {cfg['trials']} trials: mean CV R2 = {best_score:.4f}")
     print(f"  layers={best_cfg.hidden_layers} act={best_cfg.activation} "
           f"init={best_cfg.initializer} lr={best_cfg.learning_rate:g} "
@@ -322,12 +318,7 @@ def _load_model_checked(path, cfg) -> surrogate.MlpModel:
     return model
 
 
-def _write_trace_csv(path, trace, cfg) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {lineage_comment('optimize', cfg)}\n")
-        fh.write("generation,best_objective\n")
-        for g, v in enumerate(trace, 1):
-            fh.write(f"{g},{v:.17g}\n")
+TRACE_HEADER = ["generation", "best_objective"]
 
 
 def cmd_optimize(args, cfg) -> int:
@@ -354,7 +345,8 @@ def cmd_optimize(args, cfg) -> int:
                                     pred[None, :], comment)
         trace_path = args.trace_out or str(
             Path(args.out).with_suffix("")) + "_trace.csv"
-        _write_trace_csv(trace_path, -result.trace, cfg)
+        evaluator.write_table(trace_path, lineage_comment("optimize", cfg),
+                              TRACE_HEADER, enumerate(-result.trace, 1))
         print(f"{name}: best predicted cp={pred[0]:.4f} cd={pred[1]:.4f} "
               f"after {result.n_evals} evaluations")
         print(f"wrote best design to {args.out}, trace to {trace_path}")
@@ -399,15 +391,12 @@ def cmd_decide(args, cfg) -> int:
         result = topsis(DecisionMatrix(Y, w, np.array([True, False])))
     except DecisionError as exc:
         raise DataError(str(exc)) from None
-    with open(args.out, "w", newline="") as fh:
-        fh.write(f"# {lineage_comment('decide', cfg)}\n")
-        cols = [f"x{j + 1}" for j in range(X.shape[1])]
-        fh.write("rank,alternative,closeness," + ",".join(cols) + ",cp,cd\n")
-        for rank, idx in enumerate(result.ranking, 1):
-            row = [f"{v:.17g}" for v in X[idx]]
-            fh.write(f"{rank},{idx},{result.closeness[idx]:.17g},"
-                     + ",".join(row)
-                     + f",{Y[idx, 0]:.17g},{Y[idx, 1]:.17g}\n")
+    evaluator.write_table(
+        args.out, lineage_comment("decide", cfg),
+        ["rank", "alternative", "closeness"] + evaluator.x_columns(X.shape[1])
+        + ["cp", "cd"],
+        ([rank, idx, result.closeness[idx], *X[idx], *Y[idx]]
+         for rank, idx in enumerate(result.ranking, 1)))
     best = result.best
     ref_cp, ref_cd = REFERENCE_OBJECTIVES
     print(f"selected alternative {best}: cp={Y[best, 0]:.4f} "
@@ -416,52 +405,32 @@ def cmd_decide(args, cfg) -> int:
     return EXIT_OK
 
 
-def _read_trace_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("gen"):
-                continue
-            g, v = line.split(",")
-            rows.append((float(g), float(v)))
-    if not rows:
-        raise DataError(f"{path}: empty trace file")
-    return np.array(rows)
-
-
 def cmd_report(args, cfg) -> int:
-    lineages = [read_lineage(p) for p in args.inputs]
-    for path, lin in zip(args.inputs, lineages):
+    paths = args.inputs + ([args.decision] if args.decision else [])
+    first = read_lineage(paths[0])
+    for path in paths[1:]:
+        lin = read_lineage(path)
         for key in ("scenario", "seed", "config"):
-            if lin.get(key) != lineages[0].get(key):
+            if lin.get(key) != first.get(key):
                 raise DataError(
-                    f"lineage mismatch: {args.inputs[0]} has "
-                    f"{key}={lineages[0].get(key)!r} but {path} has "
+                    f"lineage mismatch: {paths[0]} has "
+                    f"{key}={first.get(key)!r} but {path} has "
                     f"{key}={lin.get(key)!r}")
     if args.kind == "trace":
-        series = {Path(p).stem: _read_trace_csv(p) for p in args.inputs}
+        series = {Path(p).stem: evaluator.read_table(
+                      p, lambda h: h == TRACE_HEADER)[1]
+                  for p in args.inputs}
         svg = report.svg_polylines(series, "generation", "objective",
                                    "Convergence", log_y=args.log)
     else:
-        series = {}
-        for path in args.inputs:
-            X, Y = evaluator.ingest_csv(path)
-            series[Path(path).stem] = Y
+        series = {Path(p).stem: evaluator.ingest_csv(p)[1]
+                  for p in args.inputs}
         highlight = {"reference": REFERENCE_OBJECTIVES}
         if args.decision:
-            lin = read_lineage(args.decision)
-            for key in ("scenario", "seed", "config"):
-                if lin.get(key) != lineages[0].get(key):
-                    raise DataError(f"lineage mismatch between {args.decision}"
-                                    f" and {args.inputs[0]} on {key}")
-            with open(args.decision) as fh:
-                fh.readline()  # lineage
-                header = fh.readline().strip().split(",")
-                top = fh.readline().strip().split(",")
-            cp = float(top[header.index("cp")])
-            cd = float(top[header.index("cd")])
-            highlight["selected"] = (cp, cd)
+            header, ranked = evaluator.read_table(
+                args.decision, lambda h: "cp" in h and "cd" in h)
+            highlight["selected"] = (float(ranked[0, header.index("cp")]),
+                                     float(ranked[0, header.index("cd")]))
         svg = report.svg_scatter(series, "pressure recovery Cp",
                                  "drag coefficient Cd", "Pareto fronts",
                                  highlight=highlight)
@@ -479,11 +448,8 @@ def cmd_gci(args, cfg) -> int:
     for name, value in rep.as_rows():
         print(f"{name:<{width + 2}}{value:.6g}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(f"# {lineage_comment('gci', cfg)}\n")
-            fh.write("quantity,value\n")
-            for name, value in rep.as_rows():
-                fh.write(f"{name},{value:.17g}\n")
+        evaluator.write_table(args.out, lineage_comment("gci", cfg),
+                              ["quantity", "value"], rep.as_rows())
         print(f"wrote table to {args.out}")
     return EXIT_OK
 

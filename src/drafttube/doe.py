@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .evaluator import read_table, write_table, x_columns
 
 __all__ = ["DoePlan", "lhs", "write_samples_csv", "read_samples_csv"]
 
@@ -58,40 +59,9 @@ def lhs(plan: DoePlan) -> np.ndarray:
 def write_samples_csv(path, samples: np.ndarray, header_comment: str = "") -> None:
     """Write a sample matrix as CSV with columns x1..xm."""
     samples = np.asarray(samples, dtype=float)
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(samples.shape[1])])
-        for row in samples:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_table(path, header_comment, x_columns(samples.shape[1]), samples)
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a sample matrix written by write_samples_csv (comments skipped).
-
-    Malformed rows and non-finite values raise with the offending line number.
-    """
-    with open(path, newline="") as fh:
-        lines = [(i + 1, ln) for i, ln in enumerate(fh)
-                 if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty sample file")
-    header = [c.strip() for c in lines[0][1].strip().split(",")]
-    m = len(header)
-    if header != [f"x{j + 1}" for j in range(m)]:
-        raise ValueError(f"{path}: header must be x1..xm, got {header}")
-    rows = []
-    for lineno, ln in lines[1:]:
-        parts = ln.strip().split(",")
-        if len(parts) != m:
-            raise ValueError(f"{path}:{lineno}: expected {m} columns, "
-                             f"got {len(parts)}")
-        try:
-            row = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
-        rows.append(row)
-    return np.array(rows).reshape(len(rows), m)
+    """Read a sample matrix written by write_samples_csv (see read_table)."""
+    return read_table(path, lambda h: h == x_columns(len(h)))[1]

@@ -1,13 +1,11 @@
-"""Objective evaluation: Cp/Cd from pressure probes, the synthetic quasi-physics
-oracle that stands in for CFD at desk scale, CFD result-file ingestion and the
-grid convergence index."""
+"""Objective evaluation: the synthetic quasi-physics oracle that stands in for
+CFD at desk scale, the CSV table format of every pipeline artifact, CFD
+result-file ingestion and the grid convergence index."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 
@@ -18,15 +16,15 @@ from .geometry import DraftTubeDesign, GeometryError
 
 __all__ = [
     "EvaluationError",
-    "FlowProbe",
     "ObjectivePair",
     "GciReport",
-    "pressure_recovery",
-    "drag_coefficient",
     "OracleConstants",
     "design_features",
     "objectives_from_features",
     "synthetic_cfd",
+    "x_columns",
+    "write_table",
+    "read_table",
     "ingest_csv",
     "write_dataset_csv",
     "gci",
@@ -34,29 +32,7 @@ __all__ = [
 
 
 class EvaluationError(ValueError):
-    """Raised for invalid probe data, malformed result files or bad GCI input."""
-
-
-# ---------------------------------------------------------------------------
-# Pressure-probe coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlowProbe:
-    """Inlet/outlet pressure probes: static and total pressure in Pa."""
-
-    p_s1: float
-    p_s2: float
-    p_t1: float
-    p_t2: float
-    rho: float
-    u: float
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise EvaluationError("density must be positive")
-        if self.u <= 0:
-            raise EvaluationError("reference velocity must be positive")
+    """Raised for non-finite objectives, malformed tables or bad GCI input."""
 
 
 @dataclass(frozen=True)
@@ -67,24 +43,6 @@ class ObjectivePair:
     def __post_init__(self):
         if not (math.isfinite(self.cp) and math.isfinite(self.cd)):
             raise EvaluationError("objectives must be finite")
-
-
-def pressure_recovery(probe: FlowProbe) -> float:
-    """Pressure recovery factor: static-pressure rise over inlet dynamic pressure."""
-    return (probe.p_s2 - probe.p_s1) / (0.5 * probe.rho * probe.u ** 2)
-
-
-def drag_coefficient(probe: FlowProbe) -> float:
-    """Drag coefficient: total-pressure loss over inlet dynamic pressure.
-
-    A negative value (total pressure gain) is non-physical; it is returned
-    as-is with a warning.
-    """
-    cd = (probe.p_t1 - probe.p_t2) / (0.5 * probe.rho * probe.u ** 2)
-    if cd < 0:
-        warnings.warn("negative drag coefficient: total pressure increased "
-                      "through the duct", stacklevel=2)
-    return cd
 
 
 # ---------------------------------------------------------------------------
@@ -161,59 +119,78 @@ def synthetic_cfd(design: DraftTubeDesign,
 
 
 # ---------------------------------------------------------------------------
-# Result-file ingestion
+# CSV tables and result-file ingestion
 # ---------------------------------------------------------------------------
 
-def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a result file with header x1..xm,cp,cd into (X, Y) arrays.
+def x_columns(m: int) -> list[str]:
+    """Design-variable column names x1..xm."""
+    return [f"x{j + 1}" for j in range(m)]
 
-    Lines starting with '#' are lineage comments and are skipped. Malformed
-    rows and non-finite values raise with the offending line number.
+
+def write_table(path, comment: str, header, rows) -> None:
+    """Write a CSV table: an optional '# comment' line, the header, the rows.
+
+    Lines end in LF. Numbers are written as %.17g, so a write-read round trip
+    is bit-identical; strings are written as they are.
     """
-    with open(path, newline="") as fh:
-        lines = [(i + 1, ln) for i, ln in enumerate(fh)
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v
+                              for v in row) + "\n")
+
+
+def read_table(path, header_ok) -> tuple[list[str], np.ndarray]:
+    """Read a numeric CSV table into (header, values).
+
+    '#' and blank lines are skipped; the first other line is the header and
+    must satisfy ``header_ok(header)``. Every data row must have one finite
+    float per column, and there must be at least one. Errors name the file
+    and, where there is one, the offending line.
+    """
+    with open(path) as fh:
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.startswith("#")]
     if not lines:
-        raise EvaluationError(f"{path}: empty result file")
-    header = [c.strip() for c in lines[0][1].strip().split(",")]
-    m = len(header) - 2
-    if m not in (14, 18) or header != [f"x{j + 1}" for j in range(m)] + ["cp", "cd"]:
-        raise EvaluationError(
-            f"{path}: header must be x1..xm,cp,cd with m in (14, 18); got {header}")
-    X, Y = [], []
-    for lineno, ln in lines[1:]:
-        parts = ln.strip().split(",")
-        if len(parts) != m + 2:
-            raise EvaluationError(f"{path}:{lineno}: expected {m + 2} columns, "
-                                  f"got {len(parts)}")
+        raise EvaluationError(f"{path}: no header")
+    lineno, text = lines[0]
+    header = [c.strip() for c in text.split(",")]
+    if not header_ok(header):
+        raise EvaluationError(f"{path}:{lineno}: unexpected header {text!r}")
+    if len(lines) == 1:
+        raise EvaluationError(f"{path}: no data rows")
+    rows = []
+    for lineno, text in lines[1:]:
+        parts = text.split(",")
+        if len(parts) != len(header):
+            raise EvaluationError(f"{path}:{lineno}: expected {len(header)} "
+                                  f"columns, got {len(parts)}")
         try:
-            vals = [float(v) for v in parts]
+            row = [float(v) for v in parts]
         except ValueError as exc:
             raise EvaluationError(f"{path}:{lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, row)):
             raise EvaluationError(f"{path}:{lineno}: non-finite value")
-        X.append(vals[:m])
-        Y.append(vals[m:])
-    return np.array(X), np.array(Y)
+        rows.append(row)
+    return header, np.array(rows)
+
+
+def ingest_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a result file with header x1..xm,cp,cd (m in 14, 18) into (X, Y)."""
+    _, values = read_table(path, lambda h: len(h) - 2 in (14, 18)
+                           and h == x_columns(len(h) - 2) + ["cp", "cd"])
+    return values[:, :-2].copy(), values[:, -2:].copy()
 
 
 def write_dataset_csv(path, X: np.ndarray, Y: np.ndarray,
                       header_comment: str = "") -> None:
-    """Write features and (cp, cd) targets in the ingest_csv format.
-
-    Values are written with repr-level precision so a write-read round trip
-    is bit-identical.
-    """
+    """Write features and (cp, cd) targets in the ingest_csv format."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(X.shape[1])] + ["cp", "cd"])
-        for xrow, yrow in zip(X, Y):
-            writer.writerow([f"{v:.17g}" for v in xrow]
-                            + [f"{v:.17g}" for v in yrow])
+    write_table(path, header_comment, x_columns(X.shape[1]) + ["cp", "cd"],
+                np.hstack([X, Y]))
 
 
 # ---------------------------------------------------------------------------

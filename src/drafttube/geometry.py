@@ -1,4 +1,4 @@
-"""B-spline geometry: basis functions, curve evaluation/fitting and draft-tube synthesis.
+"""B-spline geometry: basis functions, curve evaluation and draft-tube synthesis.
 
 A draft-tube design is described by three planar B-spline curves along the
 centreline station axis: roof elevation, floor elevation and duct half-width.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -23,9 +23,7 @@ __all__ = [
     "ReferenceGeometry",
     "DesignVector",
     "DraftTubeDesign",
-    "basis",
     "eval_curve",
-    "fit_curve",
     "clamped_knots",
     "synthesize",
     "areas",
@@ -49,31 +47,6 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 # B-spline primitives
 # ---------------------------------------------------------------------------
-
-def basis(i: int, k: int, t: float, knots) -> float:
-    """Cox-de Boor basis function N_{i,k}(t) of order ``k`` (degree ``k - 1``).
-
-    The order-1 base case is the indicator of the half-open span
-    [t_i, t_{i+1}); degenerate 0/0 weights resolve to 0.
-    """
-    knots = np.asarray(knots, dtype=float)
-    if i < 0 or i + k >= len(knots):
-        raise IndexError(f"basis index {i} out of range for order {k} "
-                         f"and {len(knots)} knots")
-    if np.any(np.diff(knots) < 0):
-        raise GeometryError("knot vector must be non-decreasing")
-    if k == 1:
-        return 1.0 if knots[i] <= t < knots[i + 1] else 0.0
-    left = 0.0
-    den = knots[i + k - 1] - knots[i]
-    if den > 0.0:
-        left = (t - knots[i]) / den * basis(i, k - 1, t, knots)
-    right = 0.0
-    den = knots[i + k] - knots[i + 1]
-    if den > 0.0:
-        right = (knots[i + k] - t) / den * basis(i + 1, k - 1, t, knots)
-    return left + right
-
 
 def clamped_knots(n_ctrl: int, k: int) -> np.ndarray:
     """Clamped knot vector on [0, 1] with evenly spaced internal knots.
@@ -189,42 +162,6 @@ def eval_curve(curve: BSplineCurve, t) -> np.ndarray:
     return pts[0] if scalar else pts
 
 
-def fit_curve(points, n_ctrl: int, k: int = 3, pinned=None) -> tuple[BSplineCurve, float]:
-    """Least-squares fit of a clamped B-spline through ``points``.
-
-    Chord-length parameter assignment. ``pinned`` optionally fixes the first
-    two control points to the given (2, 2) coordinates. Returns the curve and
-    the RMS residual.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise GeometryError("points must be an (n, 2) array")
-    if len(pts) < n_ctrl:
-        raise GeometryError("need at least as many points as control points")
-    knots = clamped_knots(n_ctrl, k)
-    chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    total = chord.sum()
-    if total <= 0:
-        raise GeometryError("degenerate point set: zero total chord length")
-    u = np.concatenate([[0.0], np.cumsum(chord) / total])
-    B = basis_matrix(knots, n_ctrl, k, u)
-    if pinned is not None:
-        pinned = np.asarray(pinned, dtype=float)
-        rhs = pts - B[:, :2] @ pinned
-        sol, _, rank, _ = np.linalg.lstsq(B[:, 2:], rhs, rcond=None)
-        if rank < n_ctrl - 2:
-            raise GeometryError("rank-deficient fitting system")
-        cp = np.vstack([pinned, sol])
-    else:
-        cp, _, rank, _ = np.linalg.lstsq(B, pts, rcond=None)
-        if rank < n_ctrl:
-            raise GeometryError("rank-deficient fitting system")
-    curve = BSplineCurve(k, cp, knots)
-    resid = eval_curve(curve, u) - pts
-    rms = float(np.sqrt(np.mean(np.sum(resid ** 2, axis=1))))
-    return curve, rms
-
-
 # ---------------------------------------------------------------------------
 # Draft-tube geometry
 # ---------------------------------------------------------------------------
@@ -316,7 +253,6 @@ class DraftTubeDesign:
     floor: BSplineCurve
     width: BSplineCurve
     sections: tuple
-    offsets: np.ndarray = field(default=None)
 
 
 def scenario_bounds(scenario: str) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +355,7 @@ def synthesize(reference: ReferenceGeometry, x: DesignVector) -> DraftTubeDesign
             kind = "rounded-rectangle"
         sections.append(CrossSection(float(xs[j]), float(w[j]), float(h[j]),
                                      float(rr), float(rf), float(angle[j]), kind))
-    return DraftTubeDesign(roof, floor, width, tuple(sections), off.copy())
+    return DraftTubeDesign(roof, floor, width, tuple(sections))
 
 
 def cross_section_area(section: CrossSection) -> float:

@@ -17,7 +17,6 @@ __all__ = [
     "NsgaConfig",
     "MoeadConfig",
     "ParetoArchive",
-    "dominates",
     "nondominated_sort",
     "nondominated_mask",
     "crowding_distance",
@@ -119,13 +118,6 @@ class ParetoArchive:
 # ---------------------------------------------------------------------------
 # Dominance utilities
 # ---------------------------------------------------------------------------
-
-def dominates(a, b) -> bool:
-    """Pareto dominance for minimization: <= everywhere and < somewhere."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return bool(np.all(a <= b) and np.any(a < b))
-
 
 def _dominance_matrix(F: np.ndarray) -> np.ndarray:
     """dom[i, j] is True when point i dominates point j."""
@@ -240,6 +232,28 @@ def _eval_all(objectives, X) -> np.ndarray:
     return np.array([objectives(x) for x in X], dtype=float)
 
 
+def _offspring(rng, X, better, lb, ub, config: NsgaConfig) -> np.ndarray:
+    """len(X) children by binary tournament, SBX and polynomial mutation.
+
+    ``better(i, j)`` is True when member i wins a tournament against j.
+    """
+    def tournament():
+        i, j = rng.integers(len(X)), rng.integers(len(X))
+        return i if better(i, j) else j
+
+    children = []
+    while len(children) < len(X):
+        a = tournament()
+        b = tournament()
+        c1, c2 = sbx(X[a], X[b], lb, ub, config.eta, config.p_c, rng)
+        children.append(polynomial_mutation(c1, lb, ub, config.eta,
+                                            config.p_m, rng))
+        if len(children) < len(X):
+            children.append(polynomial_mutation(c2, lb, ub, config.eta,
+                                                config.p_m, rng))
+    return np.array(children)
+
+
 # ---------------------------------------------------------------------------
 # NSGA-II
 # ---------------------------------------------------------------------------
@@ -254,13 +268,6 @@ def _nsga2_rank_crowd(F):
     return rank, crowd, fronts
 
 
-def _tournament(rng, rank, crowd):
-    i, j = rng.integers(len(rank)), rng.integers(len(rank))
-    if rank[i] < rank[j] or (rank[i] == rank[j] and crowd[i] > crowd[j]):
-        return i
-    return j
-
-
 def run_nsga2(problem: MoProblem, config: NsgaConfig = NsgaConfig()) -> ParetoArchive:
     """Elitist NSGA-II with binary tournament, SBX and polynomial mutation."""
     rng = np.random.Generator(np.random.PCG64(problem.seed))
@@ -272,17 +279,11 @@ def run_nsga2(problem: MoProblem, config: NsgaConfig = NsgaConfig()) -> ParetoAr
     archive.add_many(X, F)
     for _ in range(problem.generations):
         rank, crowd, _ = _nsga2_rank_crowd(F)
-        children = []
-        while len(children) < N:
-            a = _tournament(rng, rank, crowd)
-            b = _tournament(rng, rank, crowd)
-            c1, c2 = sbx(X[a], X[b], lb, ub, config.eta, config.p_c, rng)
-            children.append(polynomial_mutation(c1, lb, ub, config.eta,
-                                                config.p_m, rng))
-            if len(children) < N:
-                children.append(polynomial_mutation(c2, lb, ub, config.eta,
-                                                    config.p_m, rng))
-        CX = np.array(children)
+
+        def crowded_better(i, j):
+            return rank[i] < rank[j] or (rank[i] == rank[j] and crowd[i] > crowd[j])
+
+        CX = _offspring(rng, X, crowded_better, lb, ub, config)
         CF = _eval_all(problem.objectives, CX)
         archive.add_many(CX, CF)
         UX = np.vstack([X, CX])
@@ -367,19 +368,7 @@ def run_spea2(problem: MoProblem, config: NsgaConfig = NsgaConfig()) -> ParetoAr
             keep = nd
         AX, AF = UX[keep], UF[keep]
         afit = fit[keep]
-        children = []
-        while len(children) < N:
-            a, b = rng.integers(N), rng.integers(N)
-            a = a if afit[a] <= afit[b] else b
-            a2, b2 = rng.integers(N), rng.integers(N)
-            a2 = a2 if afit[a2] <= afit[b2] else b2
-            c1, c2 = sbx(AX[a], AX[a2], lb, ub, config.eta, config.p_c, rng)
-            children.append(polynomial_mutation(c1, lb, ub, config.eta,
-                                                config.p_m, rng))
-            if len(children) < N:
-                children.append(polynomial_mutation(c2, lb, ub, config.eta,
-                                                    config.p_m, rng))
-        X = np.array(children)
+        X = _offspring(rng, AX, lambda i, j: afit[i] <= afit[j], lb, ub, config)
         F = _eval_all(problem.objectives, X)
         result.add_many(X, F)
     return result

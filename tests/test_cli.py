@@ -32,6 +32,14 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+DATA_HEADER = ",".join(f"x{j}" for j in range(1, 19)) + ",cp,cd\n"
+DATA_ROW = ",".join(["0.0"] * 18) + ",0.8,0.1\n"
+
+
+def _lineage(stage):
+    return f"# drafttube stage={stage} scenario=II.a seed=3 config=0123456789ab\n"
+
+
 def _set_x1(path, row, value):
     """Overwrite x1 of the 1-based data row ``row`` (after lineage, header)."""
     lines = open(path).read().splitlines(keepends=True)
@@ -110,6 +118,37 @@ class TestExitCodes:
 
     def test_diverging_gci_is_3(self):
         assert main(["gci", "0.5", "1.0", "1.5"]) == 3
+
+    @pytest.mark.parametrize("files,argv,where", [
+        ({"ext.csv": DATA_HEADER},
+         ["evaluate", "--external", "ext.csv", "--out", "x.csv"],
+         "ext.csv: no data rows"),
+        ({"dataset.csv": _lineage("evaluate") + DATA_HEADER}, ["train"],
+         "dataset.csv: no data rows"),
+        ({"front.csv": _lineage("optimize") + DATA_HEADER}, ["decide"],
+         "front.csv: no data rows"),
+        ({"front.csv": _lineage("optimize") + DATA_HEADER + DATA_ROW,
+          "decision.csv": _lineage("decide") + "rank,alternative,closeness,"
+          + DATA_HEADER},
+         ["report", "front.csv", "--decision", "decision.csv"],
+         "decision.csv: no data rows"),
+        ({"front.csv": _lineage("optimize") + DATA_HEADER + DATA_ROW,
+          "decision.csv": _lineage("decide")
+          + "rank,alternative,closeness\n1,0,0.5\n"},
+         ["report", "front.csv", "--decision", "decision.csv"],
+         "decision.csv:2: unexpected header"),
+        ({"run_trace.csv": _lineage("optimize")
+          + "generation,best_objective\n1,0.8\n2\n"},
+         ["report", "run_trace.csv", "--kind", "trace", "--out", "t.svg"],
+         "run_trace.csv:4: expected 2 columns"),
+    ], ids=["external-header-only", "train-header-only", "decide-header-only",
+            "decision-without-rows", "decision-without-cp-cd",
+            "malformed-trace-row"])
+    def test_bad_table_is_3_and_named(self, capsys, files, argv, where):
+        for name, text in files.items():
+            open(name, "w").write(text)
+        assert main(argv + ["--config", "run.cfg"]) == 3
+        assert where in capsys.readouterr().err
 
 
 class TestLineage:

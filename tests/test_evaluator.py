@@ -1,40 +1,22 @@
+import csv
+
 import numpy as np
 import pytest
 
+from drafttube.doe import read_samples_csv
 from drafttube.evaluator import (
     EvaluationError,
-    FlowProbe,
     OracleConstants,
     design_features,
-    drag_coefficient,
     gci,
     ingest_csv,
-    pressure_recovery,
+    read_table,
     synthetic_cfd,
     write_dataset_csv,
+    write_table,
+    x_columns,
 )
 from drafttube.geometry import DesignVector, load_reference, scenario_bounds, synthesize
-
-
-class TestProbeCoefficients:
-    def test_pressure_recovery_hand_value(self):
-        probe = FlowProbe(p_s1=100.0, p_s2=700.0, p_t1=1500.0, p_t2=1200.0,
-                          rho=1000.0, u=2.0)
-        # dynamic pressure = 0.5 * 1000 * 4 = 2000 Pa
-        assert pressure_recovery(probe) == pytest.approx(600.0 / 2000.0)
-        assert drag_coefficient(probe) == pytest.approx(300.0 / 2000.0)
-
-    def test_negative_drag_warns(self):
-        probe = FlowProbe(p_s1=0.0, p_s2=0.0, p_t1=100.0, p_t2=200.0,
-                          rho=1.0, u=1.0)
-        with pytest.warns(UserWarning):
-            assert drag_coefficient(probe) < 0
-
-    def test_rejects_nonpositive_density_and_velocity(self):
-        with pytest.raises(EvaluationError):
-            FlowProbe(0, 0, 0, 0, rho=-1.0, u=1.0)
-        with pytest.raises(EvaluationError):
-            FlowProbe(0, 0, 0, 0, rho=1.0, u=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +94,54 @@ class TestResultFileIO:
         path.write_text("# only a comment\n")
         with pytest.raises(EvaluationError):
             ingest_csv(path)
+
+    def test_reads_crlf_rows_of_older_artifacts(self, tmp_path):
+        # Older writers used csv.writer: CRLF rows under an LF lineage line.
+        rng = np.random.Generator(np.random.PCG64(4))
+        X = rng.uniform(-0.25, 0.25, size=(9, 18))
+        Y = rng.uniform(0.1, 0.9, size=(9, 2))
+        for name, header, rows in (("samples.csv", x_columns(18), X),
+                                   ("dataset.csv", x_columns(18) + ["cp", "cd"],
+                                    np.hstack([X, Y]))):
+            with open(tmp_path / name, "w", newline="") as fh:
+                fh.write("# drafttube stage=old\n")
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+            assert b"\r\n" in (tmp_path / name).read_bytes()
+        np.testing.assert_array_equal(read_samples_csv(tmp_path / "samples.csv"), X)
+        X2, Y2 = ingest_csv(tmp_path / "dataset.csv")
+        np.testing.assert_array_equal(X2, X)
+        np.testing.assert_array_equal(Y2, Y)
+
+
+class TestTable:
+    def test_round_trip_writes_lf_and_17_digits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, "lineage", ["a", "b"], [[1, 0.1], [2, 1 / 3]])
+        assert path.read_bytes() == (b"# lineage\na,b\n1,0.10000000000000001\n"
+                                     b"2,0.33333333333333331\n")
+        header, values = read_table(path, lambda h: h == ["a", "b"])
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(values, [[1.0, 0.1], [2.0, 1 / 3]])
+
+    def test_strings_are_written_as_they_are(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, "", ["name", "value"], [("p", 2.5)])
+        assert path.read_text() == "name,value\np,2.5\n"
+
+    @pytest.mark.parametrize("body,where", [
+        ("a,b\n", "t.csv: no data rows"),
+        ("a,c\n1,2\n", "t.csv:1: unexpected header"),
+        ("a,b\n1,2\n\n3\n", "t.csv:4: expected 2 columns"),
+        ("a,b\n1,x\n", "t.csv:2:"),
+        ("a,b\n1,inf\n", "t.csv:2: non-finite value"),
+    ])
+    def test_errors_name_the_file_and_line(self, tmp_path, body, where):
+        path = tmp_path / "t.csv"
+        path.write_text(body)
+        with pytest.raises(EvaluationError, match=where):
+            read_table(path, lambda h: h == ["a", "b"])
 
 
 class TestGridConvergenceIndex:

@@ -8,7 +8,6 @@ from drafttube.opt_multi import (
     ParetoArchive,
     additive_epsilon,
     crowding_distance,
-    dominates,
     hypervolume2d,
     nondominated_mask,
     nondominated_sort,
@@ -21,6 +20,13 @@ from drafttube.opt_multi import (
     tchebycheff,
     uniform_weights,
 )
+
+
+def dominates(a, b) -> bool:
+    """Pareto dominance for minimization: <= everywhere and < somewhere."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def zdt1(x):

@@ -10,12 +10,18 @@ from drafttube.doe import DoePlan, lhs
 from drafttube.evaluator import gci
 from drafttube.opt_multi import (
     ParetoArchive,
-    dominates,
     hypervolume2d,
     nondominated_mask,
 )
 
 SETTINGS = settings(max_examples=50, deadline=None)
+
+
+def dominates(a, b) -> bool:
+    """Pareto dominance for minimization: <= everywhere and < somewhere."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 @SETTINGS

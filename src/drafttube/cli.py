@@ -465,6 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optimization scenario")
     common.add_argument("--seed", type=int,
                         help=f"global seed (default from ${SEED_ENV_VAR})")
+    # Dataset preparation shared by train and tune.
+    prep = argparse.ArgumentParser(add_help=False)
+    prep.add_argument("--lof-k", dest="lof_k", type=int)
+    prep.add_argument("--lof-threshold", dest="lof_threshold", type=float)
+    prep.add_argument("--train-ratio", dest="train_ratio", type=float)
 
     parser = argparse.ArgumentParser(
         prog="drafttube",
@@ -485,25 +490,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="dataset.csv")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, prep],
                        help="train the tuned surrogate on a dataset")
     p.add_argument("--in", dest="infile", default="dataset.csv")
-    p.add_argument("--lof-k", dest="lof_k", type=int)
-    p.add_argument("--lof-threshold", dest="lof_threshold", type=float)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float)
     p.add_argument("--out", default="model.json")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("tune", parents=[common],
+    p = sub.add_parser("tune", parents=[common, prep],
                        help="random-search hyperparameter tuning")
     p.add_argument("--in", dest="infile", default="dataset.csv")
     p.add_argument("--trials", type=int)
     p.add_argument("--epochs", type=int, default=64,
                    help="epoch cap per tuning trial")
     p.add_argument("--patience", type=int, default=8)
-    p.add_argument("--lof-k", dest="lof_k", type=int)
-    p.add_argument("--lof-threshold", dest="lof_threshold", type=float)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float)
     p.add_argument("--out", default="tuning.csv")
     p.set_defaults(func=cmd_tune)
 

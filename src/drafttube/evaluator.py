@@ -88,7 +88,7 @@ def design_features(design: DraftTubeDesign) -> dict:
     feats = geometry.areas(design)
     feats["curvature"] = _curvature_penalty(design)
     # Hydraulic diameter of the (fixed) circular inlet.
-    feats["D_h"] = 2.0 * design.sections[0].w
+    feats["D_h"] = 2.0 * float(design.w[0])
     return feats
 
 

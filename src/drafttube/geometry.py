@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "BSplineCurve",
-    "CrossSection",
     "ReferenceGeometry",
     "DesignVector",
     "DraftTubeDesign",
@@ -170,37 +169,16 @@ _KINDS = ("circular", "ellipsoidal", "rounded-rectangle")
 
 
 @dataclass(frozen=True)
-class CrossSection:
-    """One duct cross-section: half-width w, half-height h, corner radii."""
-
-    station: float
-    w: float
-    h: float
-    r_r: float
-    r_f: float
-    angle: float
-    kind: str
-
-    def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise GeometryError(f"non-positive section dimensions at x={self.station}")
-        if self.r_r < 0 or self.r_f < 0:
-            raise GeometryError("corner radii must be non-negative")
-        lim = min(self.w, self.h) + 1e-9
-        if self.r_r > lim or self.r_f > lim:
-            raise GeometryError("corner radius exceeds min(w, h)")
-        if self.kind not in _KINDS:
-            raise GeometryError(f"unknown section kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ReferenceGeometry:
-    """Baseline design: roof/floor/width curves plus station metadata."""
+    """Baseline design: roof/floor/width curves plus the corner radii of the
+    reference sections at their station coordinates ``xs``."""
 
     roof: BSplineCurve
     floor: BSplineCurve
     width: BSplineCurve
-    stations: list  # list of CrossSection rows from the data file
+    xs: np.ndarray
+    r_r: np.ndarray
+    r_f: np.ndarray
 
     def __post_init__(self):
         if len(self.roof.control_points) != 9 or len(self.floor.control_points) != 9:
@@ -247,12 +225,19 @@ class DesignVector:
 
 @dataclass(frozen=True)
 class DraftTubeDesign:
-    """A synthesized design: displaced curves and sampled cross-sections."""
+    """A synthesized design: displaced curves and its cross-sections as one
+    array of length N_STATIONS per field (station coordinate xs, half-width
+    w, half-height h, roof and floor corner radii, section kind)."""
 
     roof: BSplineCurve
     floor: BSplineCurve
     width: BSplineCurve
-    sections: tuple
+    xs: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    r_r: np.ndarray
+    r_f: np.ndarray
+    kind: np.ndarray
 
 
 def scenario_bounds(scenario: str) -> tuple[np.ndarray, np.ndarray]:
@@ -328,58 +313,38 @@ def synthesize(reference: ReferenceGeometry, x: DesignVector) -> DraftTubeDesign
         raise GeometryError("non-positive duct width for this offset vector")
     h = 0.5 * (roof_y - floor_y)
 
-    ref_st = np.array([s.station for s in reference.stations])
-    ref_rr = np.array([s.r_r for s in reference.stations])
-    ref_rf = np.array([s.r_f for s in reference.stations])
-    ref_ang = np.array([s.angle for s in reference.stations])
-    r_r = np.interp(xs, ref_st, ref_rr)
-    r_f = np.interp(xs, ref_st, ref_rf)
-    angle = np.interp(xs, ref_st, ref_ang)
-
-    sections = []
-    for j in range(N_STATIONS):
-        lim = min(w[j], h[j])
-        # Radii interpolate between adjacent reference sections, clamped so
-        # the rounded corners always fit inside the section.
-        rr = min(r_r[j], lim)
-        rf = min(r_f[j], lim)
-        if j == 0:
-            kind = "circular"
-        elif j == N_STATIONS - 1:
-            kind = "rounded-rectangle"
-        elif abs(w[j] - h[j]) < 1e-9 and rr >= lim - 1e-9:
-            kind = "circular"
-        elif rr >= lim - 1e-9 and rf >= lim - 1e-9:
-            kind = "ellipsoidal"
-        else:
-            kind = "rounded-rectangle"
-        sections.append(CrossSection(float(xs[j]), float(w[j]), float(h[j]),
-                                     float(rr), float(rf), float(angle[j]), kind))
-    return DraftTubeDesign(roof, floor, width, tuple(sections))
+    # Radii interpolate between adjacent reference sections, clamped so the
+    # rounded corners always fit inside the section.
+    lim = np.minimum(w, h)
+    r_r = np.minimum(np.interp(xs, reference.xs, reference.r_r), lim)
+    r_f = np.minimum(np.interp(xs, reference.xs, reference.r_f), lim)
+    full_r = r_r >= lim - 1e-9
+    kind = np.select(
+        [full_r & (np.abs(w - h) < 1e-9), full_r & (r_f >= lim - 1e-9)],
+        ["circular", "ellipsoidal"], "rounded-rectangle")
+    kind[0], kind[-1] = "circular", "rounded-rectangle"
+    return DraftTubeDesign(roof, floor, width, xs, w, h, r_r, r_f, kind)
 
 
-def cross_section_area(section: CrossSection) -> float:
-    """Area of one cross-section.
+def cross_section_area(kind: str, w: float, h: float, r_r: float,
+                       r_f: float) -> float:
+    """Area of one cross-section of half-width w and half-height h.
 
     Circular sections use pi*w^2; rounded rectangles use 4wh minus the two
     roof and two floor corner cut-offs, (4 - pi)/2 * (r_r^2 + r_f^2), which
     degenerates to the circle/ellipse area when the radii reach min(w, h).
     """
-    if section.kind == "circular":
-        return math.pi * section.w ** 2
-    if section.kind == "ellipsoidal":
-        return math.pi * section.w * section.h
-    return (4.0 * section.w * section.h
-            - (4.0 - math.pi) / 2.0 * (section.r_r ** 2 + section.r_f ** 2))
+    if kind == "circular":
+        return math.pi * w ** 2
+    if kind == "ellipsoidal":
+        return math.pi * w * h
+    return 4.0 * w * h - (4.0 - math.pi) / 2.0 * (r_r ** 2 + r_f ** 2)
 
 
 def station_profiles(design: DraftTubeDesign):
     """Roof, floor and width values sampled at the design's stations."""
-    xs = np.array([s.station for s in design.sections])
-    roof_y = _curve_y(design.roof, xs)
-    floor_y = _curve_y(design.floor, xs)
-    w = np.array([s.w for s in design.sections])
-    return xs, roof_y, floor_y, w
+    xs = design.xs
+    return xs, _curve_y(design.roof, xs), _curve_y(design.floor, xs), design.w
 
 
 def areas(design: DraftTubeDesign) -> dict:
@@ -388,14 +353,12 @@ def areas(design: DraftTubeDesign) -> dict:
     Returns inlet/outlet areas, the centreline (mid-curve) arc length and the
     mean wall slope in radians.
     """
-    first, last = design.sections[0], design.sections[-1]
-    a_in = cross_section_area(first)
-    a_out = cross_section_area(last)
+    a_in, a_out = (cross_section_area(design.kind[j], design.w[j], design.h[j],
+                                      design.r_r[j], design.r_f[j])
+                   for j in (0, -1))
     if a_in <= 0 or a_out <= 0:
         raise GeometryError("degenerate inlet or outlet section")
-    xs = np.array([s.station for s in design.sections])
-    h = np.array([s.h for s in design.sections])
-    w = np.array([s.w for s in design.sections])
+    xs, h, w = design.xs, design.h, design.w
     roof_y = _curve_y(design.roof, xs)
     floor_y = _curve_y(design.floor, xs)
     mid = 0.5 * (roof_y + floor_y)
@@ -437,20 +400,42 @@ def _read_curves_file(fh) -> dict:
     return curves
 
 
+def _section_problem(w: float, h: float, r_r: float, r_f: float,
+                     kind: str) -> str:
+    """Why a cross-section is invalid, or '' if it is valid."""
+    if w <= 0 or h <= 0:
+        return "non-positive section dimensions"
+    if r_r < 0 or r_f < 0:
+        return "corner radii must be non-negative"
+    if max(r_r, r_f) > min(w, h) + 1e-9:
+        return "corner radius exceeds min(w, h)"
+    if kind not in _KINDS:
+        return f"unknown section kind {kind!r}"
+    return ""
+
+
 def load_reference(stations_path=None, curves_path=None) -> ReferenceGeometry:
-    """Load the reference geometry; defaults to the packaged synthetic design."""
+    """Load the reference geometry; defaults to the packaged synthetic design.
+
+    Every station row must be a valid section; the first invalid one is
+    named by its 1-based data-row index.
+    """
     if stations_path is None or curves_path is None:
         pkg = resources.files("drafttube").joinpath("data")
         stations_path = stations_path or pkg / "reference_stations.csv"
         curves_path = curves_path or pkg / "reference_curves.csv"
-    stations = []
+    xs, r_r, r_f = [], [], []
     with open(stations_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            stations.append(CrossSection(
-                float(row["station"]), float(row["w"]), float(row["h"]),
-                float(row["r_r"]), float(row["r_f"]), float(row["angle"]),
-                row["kind"]))
+        for i, row in enumerate(csv.DictReader(fh), 1):
+            rr, rf = float(row["r_r"]), float(row["r_f"])
+            problem = _section_problem(float(row["w"]), float(row["h"]),
+                                       rr, rf, row["kind"])
+            if problem:
+                raise GeometryError(f"{stations_path}: data row {i}: {problem}")
+            xs.append(float(row["station"]))
+            r_r.append(rr)
+            r_f.append(rf)
     with open(curves_path) as fh:
         curves = _read_curves_file(fh)
     return ReferenceGeometry(curves["roof"], curves["floor"], curves["width"],
-                             stations)
+                             np.array(xs), np.array(r_r), np.array(r_f))

@@ -67,7 +67,7 @@ def _eval_all(objective, X) -> np.ndarray:
 
 def linear_inertia(iteration: int, total: int, w_start: float = 0.9,
                    w_end: float = 0.4) -> float:
-    """Default inertia schedule: linear decrease over the run."""
+    """PSO inertia schedule: linear decrease over the run."""
     if total <= 1:
         return w_end
     return w_start + (w_end - w_start) * iteration / (total - 1)
@@ -78,7 +78,6 @@ class PsoConfig:
     n_particles: int = 20
     c1: float = 2.0
     c2: float = 2.0
-    inertia: callable = linear_inertia
     v_max: float = 0.2  # velocity clamp as a fraction of the box span
 
     def __post_init__(self):
@@ -104,7 +103,7 @@ def run_pso(problem: SoProblem, config: PsoConfig = PsoConfig()) -> SoResult:
     gbest_x, gbest_f = X[g].copy(), float(F[g])
     trace = [gbest_f]
     for it in range(problem.budget):
-        w = config.inertia(it, problem.budget)
+        w = linear_inertia(it, problem.budget)
         r1 = rng.random((n, d))
         r2 = rng.random((n, d))
         V = (w * V + config.c1 * r1 * (pbest_x - X)
@@ -206,12 +205,8 @@ def run_fwa(problem: SoProblem, config: FwaConfig = FwaConfig()) -> SoResult:
         # Keep the best; fill the rest by distance-based roulette.
         keep = [b]
         rest = np.delete(np.arange(len(cand)), b)
-        diff = cand[rest, None, :] - cand[None, rest, :] if len(rest) <= 512 else None
-        if diff is not None:
-            dists = np.sqrt(np.sum(diff ** 2, axis=-1)).sum(axis=1)
-        else:
-            dists = np.array([np.sum(np.linalg.norm(cand[rest] - c, axis=1))
-                              for c in cand[rest]])
+        diff = cand[rest, None, :] - cand[None, rest, :]
+        dists = np.sqrt(np.sum(diff ** 2, axis=-1)).sum(axis=1)
         probs = dists / dists.sum() if dists.sum() > 0 else None
         picks = rng.choice(len(rest), size=n - 1, replace=False, p=probs)
         keep.extend(rest[picks])

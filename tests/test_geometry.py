@@ -1,10 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from drafttube import geometry
 from drafttube.geometry import (
     BSplineCurve,
-    CrossSection,
     DesignVector,
     GeometryError,
     basis_matrix,
@@ -191,6 +192,27 @@ def reference():
     return load_reference()
 
 
+class TestReference:
+    # Each case breaks data row 5 of the packaged stations file.
+    @pytest.mark.parametrize("column, value", [
+        ("w", "0.0"),               # non-positive half-width
+        ("r_f", "-0.1"),            # negative corner radius
+        ("r_r", "5.0"),             # radius above min(w, h)
+        ("kind", "trapezoidal"),    # unknown section kind
+    ])
+    def test_bad_station_row_is_named(self, tmp_path, column, value):
+        src = resources.files("drafttube") / "data" / "reference_stations.csv"
+        lines = src.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[5].split(",")
+        cells[header.index(column)] = value
+        lines[5] = ",".join(cells)
+        path = tmp_path / "stations.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GeometryError, match="stations.csv: data row 5: "):
+            load_reference(stations_path=path)
+
+
 class TestSynthesize:
     def test_reference_shape(self, reference):
         assert len(reference.roof.control_points) == 9
@@ -200,12 +222,14 @@ class TestSynthesize:
     def test_zero_offsets(self, reference):
         lb, ub = scenario_bounds("II.a")
         design = synthesize(reference, DesignVector(np.zeros(18), lb, ub))
-        assert len(design.sections) == geometry.N_STATIONS
-        assert design.sections[0].kind == "circular"
-        assert design.sections[-1].kind == "rounded-rectangle"
-        for s in design.sections:
-            assert s.w > 0 and s.h > 0
-            assert s.r_r <= min(s.w, s.h) + 1e-9
+        for field in (design.xs, design.w, design.h, design.r_r, design.r_f,
+                      design.kind):
+            assert field.shape == (geometry.N_STATIONS,)
+        assert design.kind[0] == "circular"
+        assert design.kind[-1] == "rounded-rectangle"
+        assert np.all(design.w > 0) and np.all(design.h > 0)
+        lim = np.minimum(design.w, design.h) + 1e-9
+        assert np.all(design.r_r <= lim) and np.all(design.r_f <= lim)
 
     def test_first_two_control_points_fixed(self, reference):
         lb, ub = scenario_bounds("II.a")
@@ -233,7 +257,7 @@ class TestSynthesize:
             for corner in (lb, ub):
                 design = synthesize(reference,
                                     DesignVector(corner.copy(), lb, ub))
-                assert len(design.sections) == geometry.N_STATIONS
+                assert design.xs.shape == (geometry.N_STATIONS,)
 
     def test_envelope_containment(self, reference):
         """I.b/II.b designs stay inside the reference duct everywhere."""
@@ -254,21 +278,21 @@ class TestSynthesize:
 
 class TestAreas:
     def test_circle_limit(self):
-        s = CrossSection(0.0, 1.1, 1.1, 1.1, 1.1, 0.0, "circular")
-        assert cross_section_area(s) == pytest.approx(np.pi * 1.1 ** 2)
+        area = cross_section_area("circular", 1.1, 1.1, 1.1, 1.1)
+        assert area == pytest.approx(np.pi * 1.1 ** 2)
 
     def test_ellipse(self):
-        s = CrossSection(0.0, 1.5, 1.0, 1.0, 1.0, 0.0, "ellipsoidal")
-        assert cross_section_area(s) == pytest.approx(np.pi * 1.5)
+        area = cross_section_area("ellipsoidal", 1.5, 1.0, 1.0, 1.0)
+        assert area == pytest.approx(np.pi * 1.5)
 
     def test_sharp_rectangle(self):
-        s = CrossSection(0.0, 1.5, 1.0, 0.0, 0.0, 0.0, "rounded-rectangle")
-        assert cross_section_area(s) == pytest.approx(4.0 * 1.5)
+        area = cross_section_area("rounded-rectangle", 1.5, 1.0, 0.0, 0.0)
+        assert area == pytest.approx(4.0 * 1.5)
 
     def test_rounded_rectangle_degenerates_to_circle(self):
         w = 1.3
-        s = CrossSection(0.0, w, w, w, w, 0.0, "rounded-rectangle")
-        assert cross_section_area(s) == pytest.approx(np.pi * w ** 2)
+        area = cross_section_area("rounded-rectangle", w, w, w, w)
+        assert area == pytest.approx(np.pi * w ** 2)
 
     def test_bulk_quantities(self):
         reference = load_reference()
@@ -276,6 +300,5 @@ class TestAreas:
         design = synthesize(reference, DesignVector(np.zeros(18), lb, ub))
         bulk = geometry.areas(design)
         assert bulk["A_out"] > bulk["A_in"] > 0  # the duct is a diffuser
-        first, last = design.sections[0], design.sections[-1]
-        assert bulk["length"] >= last.station - first.station
+        assert bulk["length"] >= design.xs[-1] - design.xs[0]
         assert 0.0 <= bulk["mean_slope"] < np.pi / 2

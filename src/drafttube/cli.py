@@ -122,6 +122,9 @@ def effective_config(args) -> dict:
     for key in ("samples", "trials", "generations", "pop_size", "lof_k"):
         if cfg[key] < 1:
             raise UsageError(f"{key} must be >= 1")
+    if cfg["optimizer"] == "moead" and cfg["pop_size"] < 3:
+        # DE/rand/1 draws three distinct donors from the population.
+        raise UsageError("pop_size must be >= 3 for moead")
     if not 0.5 <= cfg["train_ratio"] <= 0.95:
         raise UsageError("train_ratio must be in [0.5, 0.95]")
     if cfg["weight_cp"] < 0 or cfg["weight_cd"] < 0 \
@@ -358,16 +361,11 @@ def cmd_optimize(args, cfg) -> int:
 
         problem = opt_multi.MoProblem(objectives, lb, ub,
                                       generations=cfg["generations"],
-                                      seed=cfg["seed"])
-        if name == "moead":
-            archive = opt_multi.run_moead(
-                problem, opt_multi.MoeadConfig(pop_size=cfg["pop_size"]))
-        elif name == "spea2":
-            archive = opt_multi.run_spea2(
-                problem, opt_multi.NsgaConfig(pop_size=cfg["pop_size"]))
-        else:
-            archive = opt_multi.run_nsga2(
-                problem, opt_multi.NsgaConfig(pop_size=cfg["pop_size"]))
+                                      seed=cfg["seed"],
+                                      pop_size=cfg["pop_size"])
+        runner = {"nsga2": opt_multi.run_nsga2, "spea2": opt_multi.run_spea2,
+                  "moead": opt_multi.run_moead}[name]
+        archive = runner(problem)
         F = archive.front()
         Y = np.column_stack([-F[:, 0], F[:, 1]])
         evaluator.write_dataset_csv(args.out, archive.points(), Y, comment)

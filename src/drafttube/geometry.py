@@ -417,8 +417,9 @@ def _section_problem(w: float, h: float, r_r: float, r_f: float,
 def load_reference(stations_path=None, curves_path=None) -> ReferenceGeometry:
     """Load the reference geometry; defaults to the packaged synthetic design.
 
-    Every station row must be a valid section; the first invalid one is
-    named by its 1-based data-row index.
+    Every station row must be a valid section at a station beyond the
+    previous row's; the first invalid one is named by its 1-based data-row
+    index.
     """
     if stations_path is None or curves_path is None:
         pkg = resources.files("drafttube").joinpath("data")
@@ -427,12 +428,16 @@ def load_reference(stations_path=None, curves_path=None) -> ReferenceGeometry:
     xs, r_r, r_f = [], [], []
     with open(stations_path, newline="") as fh:
         for i, row in enumerate(csv.DictReader(fh), 1):
+            x = float(row["station"])
             rr, rf = float(row["r_r"]), float(row["r_f"])
             problem = _section_problem(float(row["w"]), float(row["h"]),
                                        rr, rf, row["kind"])
+            if not problem and xs and not x > xs[-1]:
+                # np.interp needs increasing stations; it does not check.
+                problem = "station does not increase"
             if problem:
                 raise GeometryError(f"{stations_path}: data row {i}: {problem}")
-            xs.append(float(row["station"]))
+            xs.append(x)
             r_r.append(rr)
             r_f.append(rf)
     with open(curves_path) as fh:

@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "MoProblem",
-    "NsgaConfig",
-    "MoeadConfig",
     "ParetoArchive",
     "nondominated_sort",
     "nondominated_mask",
@@ -38,6 +36,7 @@ class MoProblem:
     ub: np.ndarray
     generations: int = 500
     seed: int = 0
+    pop_size: int = 200  # population, and archive size for SPEA2
 
     def __post_init__(self):
         lb = np.asarray(self.lb, dtype=float)
@@ -48,30 +47,12 @@ class MoProblem:
             raise ValueError("need lb < ub per dimension")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
+        if self.pop_size < 1:
+            raise ValueError("pop_size must be >= 1")
 
     @property
     def dim(self) -> int:
         return len(self.lb)
-
-
-@dataclass(frozen=True)
-class NsgaConfig:
-    pop_size: int = 200
-    p_c: float = 0.9
-    p_m: float = 0.1
-    eta: float = 20.0
-
-
-@dataclass(frozen=True)
-class MoeadConfig:
-    pop_size: int = 200
-    p_m: float = 0.1
-    eta: float = 20.0
-    cr: float = 1.0
-    f: float = 0.5
-    n_r: int = 2
-    t_neighbors: int = 20
-    delta: float = 0.9
 
 
 class ParetoArchive:
@@ -232,8 +213,9 @@ def _eval_all(objectives, X) -> np.ndarray:
     return np.array([objectives(x) for x in X], dtype=float)
 
 
-def _offspring(rng, X, better, lb, ub, config: NsgaConfig) -> np.ndarray:
-    """len(X) children by binary tournament, SBX and polynomial mutation.
+def _offspring(rng, X, better, lb, ub) -> np.ndarray:
+    """len(X) children by binary tournament, SBX and polynomial mutation,
+    each with its default eta = 20, p_c = 0.9 and p_m = 0.1.
 
     ``better(i, j)`` is True when member i wins a tournament against j.
     """
@@ -245,12 +227,10 @@ def _offspring(rng, X, better, lb, ub, config: NsgaConfig) -> np.ndarray:
     while len(children) < len(X):
         a = tournament()
         b = tournament()
-        c1, c2 = sbx(X[a], X[b], lb, ub, config.eta, config.p_c, rng)
-        children.append(polynomial_mutation(c1, lb, ub, config.eta,
-                                            config.p_m, rng))
+        c1, c2 = sbx(X[a], X[b], lb, ub, rng=rng)
+        children.append(polynomial_mutation(c1, lb, ub, rng=rng))
         if len(children) < len(X):
-            children.append(polynomial_mutation(c2, lb, ub, config.eta,
-                                                config.p_m, rng))
+            children.append(polynomial_mutation(c2, lb, ub, rng=rng))
     return np.array(children)
 
 
@@ -268,11 +248,11 @@ def _nsga2_rank_crowd(F):
     return rank, crowd, fronts
 
 
-def run_nsga2(problem: MoProblem, config: NsgaConfig = NsgaConfig()) -> ParetoArchive:
+def run_nsga2(problem: MoProblem) -> ParetoArchive:
     """Elitist NSGA-II with binary tournament, SBX and polynomial mutation."""
     rng = np.random.Generator(np.random.PCG64(problem.seed))
     lb, ub, d = problem.lb, problem.ub, problem.dim
-    N = config.pop_size
+    N = problem.pop_size
     X = lb + rng.random((N, d)) * (ub - lb)
     F = _eval_all(problem.objectives, X)
     archive = ParetoArchive()
@@ -283,7 +263,7 @@ def run_nsga2(problem: MoProblem, config: NsgaConfig = NsgaConfig()) -> ParetoAr
         def crowded_better(i, j):
             return rank[i] < rank[j] or (rank[i] == rank[j] and crowd[i] > crowd[j])
 
-        CX = _offspring(rng, X, crowded_better, lb, ub, config)
+        CX = _offspring(rng, X, crowded_better, lb, ub)
         CF = _eval_all(problem.objectives, CX)
         archive.add_many(CX, CF)
         UX = np.vstack([X, CX])
@@ -341,11 +321,11 @@ def _spea2_truncate(F: np.ndarray, target: int) -> np.ndarray:
     return np.array(alive)
 
 
-def run_spea2(problem: MoProblem, config: NsgaConfig = NsgaConfig()) -> ParetoArchive:
+def run_spea2(problem: MoProblem) -> ParetoArchive:
     """SPEA2 with archive size equal to the population size."""
     rng = np.random.Generator(np.random.PCG64(problem.seed))
     lb, ub, d = problem.lb, problem.ub, problem.dim
-    N = config.pop_size
+    N = problem.pop_size
     X = lb + rng.random((N, d)) * (ub - lb)
     F = _eval_all(problem.objectives, X)
     AX = np.empty((0, d))
@@ -368,7 +348,7 @@ def run_spea2(problem: MoProblem, config: NsgaConfig = NsgaConfig()) -> ParetoAr
             keep = nd
         AX, AF = UX[keep], UF[keep]
         afit = fit[keep]
-        X = _offspring(rng, AX, lambda i, j: afit[i] <= afit[j], lb, ub, config)
+        X = _offspring(rng, AX, lambda i, j: afit[i] <= afit[j], lb, ub)
         F = _eval_all(problem.objectives, X)
         result.add_many(X, F)
     return result
@@ -388,14 +368,22 @@ def tchebycheff(f, weight, z_star) -> float:
     return float(np.max(weight * np.abs(np.asarray(f) - z_star)))
 
 
-def run_moead(problem: MoProblem, config: MoeadConfig = MoeadConfig()) -> ParetoArchive:
-    """MOEA/D with Tchebycheff decomposition and DE/rand/1 variation."""
+_MOEAD_NEIGHBORS = 20  # T, weight-space neighborhood size
+_MOEAD_DELTA = 0.9     # chance of mating within the neighborhood
+_MOEAD_F = 0.5         # DE/rand/1 scale factor
+_MOEAD_CR = 1.0        # binomial crossover rate
+_MOEAD_N_R = 2         # most neighbors one child may replace
+
+
+def run_moead(problem: MoProblem) -> ParetoArchive:
+    """MOEA/D with Tchebycheff decomposition, DE/rand/1 variation and
+    polynomial mutation; needs ``pop_size >= 3`` for three distinct donors."""
     rng = np.random.Generator(np.random.PCG64(problem.seed))
     lb, ub, d = problem.lb, problem.ub, problem.dim
-    N = config.pop_size
+    N = problem.pop_size
     W = uniform_weights(N)
     wdist = np.sqrt(np.sum((W[:, None, :] - W[None, :, :]) ** 2, axis=-1))
-    T = min(config.t_neighbors, N)
+    T = min(_MOEAD_NEIGHBORS, N)
     neigh = np.argsort(wdist, axis=1, kind="stable")[:, :T]
     X = lb + rng.random((N, d)) * (ub - lb)
     F = _eval_all(problem.objectives, X)
@@ -405,16 +393,18 @@ def run_moead(problem: MoProblem, config: MoeadConfig = MoeadConfig()) -> Pareto
     for _ in range(problem.generations):
         gen_X, gen_F = [], []
         for i in range(N):
-            if rng.random() < config.delta:
+            if rng.random() < _MOEAD_DELTA:
                 pool = neigh[i]
             else:
                 pool = np.arange(N)
             r = rng.choice(pool, size=3, replace=False)
-            v = X[r[0]] + config.f * (X[r[1]] - X[r[2]])
-            cross = rng.random(d) < config.cr
+            v = X[r[0]] + _MOEAD_F * (X[r[1]] - X[r[2]])
+            # With CR = 1 every coordinate crosses, but both draws stay so
+            # the random stream is that of the general operator.
+            cross = rng.random(d) < _MOEAD_CR
             cross[int(rng.integers(d))] = True
             y = np.where(cross, v, X[i])
-            y = polynomial_mutation(y, lb, ub, config.eta, config.p_m, rng)
+            y = polynomial_mutation(y, lb, ub, rng=rng)
             y = np.clip(y, lb, ub)
             fy = np.asarray(problem.objectives(y), dtype=float)
             z_star = np.minimum(z_star, fy)
@@ -422,7 +412,7 @@ def run_moead(problem: MoProblem, config: MoeadConfig = MoeadConfig()) -> Pareto
             gen_F.append(fy)
             replaced = 0
             for j in rng.permutation(pool):
-                if replaced >= config.n_r:
+                if replaced >= _MOEAD_N_R:
                     break
                 if tchebycheff(fy, W[j], z_star) <= tchebycheff(F[j], W[j], z_star):
                     X[j] = y

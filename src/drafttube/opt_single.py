@@ -8,16 +8,13 @@ the box and reports a monotone best-so-far trace per generation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SoProblem",
     "SoResult",
-    "PsoConfig",
-    "FwaConfig",
-    "LshadeConfig",
     "run_pso",
     "run_fwa",
     "run_lshade",
@@ -73,27 +70,19 @@ def linear_inertia(iteration: int, total: int, w_start: float = 0.9,
     return w_start + (w_end - w_start) * iteration / (total - 1)
 
 
-@dataclass(frozen=True)
-class PsoConfig:
-    n_particles: int = 20
-    c1: float = 2.0
-    c2: float = 2.0
-    v_max: float = 0.2  # velocity clamp as a fraction of the box span
-
-    def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("need at least two particles")
-        if self.v_max <= 0:
-            raise ValueError("v_max must be positive")
+_PSO_PARTICLES = 20
+_PSO_C1 = _PSO_C2 = 2.0
+_PSO_V_MAX = 0.2  # velocity clamp as a fraction of the box span
 
 
-def run_pso(problem: SoProblem, config: PsoConfig = PsoConfig()) -> SoResult:
-    """Global-best PSO with clamped positions and reflected velocities."""
+def run_pso(problem: SoProblem) -> SoResult:
+    """Global-best PSO with clamped positions and reflected velocities:
+    20 particles, c1 = c2 = 2 and a linearly decreasing inertia."""
     rng = np.random.Generator(np.random.PCG64(problem.seed))
     lb, ub, d = problem.lb, problem.ub, problem.dim
     span = ub - lb
-    n = config.n_particles
-    v_max = config.v_max * span
+    n = _PSO_PARTICLES
+    v_max = _PSO_V_MAX * span
     X = lb + rng.random((n, d)) * span
     V = (rng.random((n, d)) - 0.5) * 2.0 * v_max
     F = _eval_all(problem.objective, X)
@@ -106,8 +95,8 @@ def run_pso(problem: SoProblem, config: PsoConfig = PsoConfig()) -> SoResult:
         w = linear_inertia(it, problem.budget)
         r1 = rng.random((n, d))
         r2 = rng.random((n, d))
-        V = (w * V + config.c1 * r1 * (pbest_x - X)
-             + config.c2 * r2 * (gbest_x - X))
+        V = (w * V + _PSO_C1 * r1 * (pbest_x - X)
+             + _PSO_C2 * r2 * (gbest_x - X))
         V = np.clip(V, -v_max, v_max)
         X = X + V
         low = X < lb
@@ -131,18 +120,11 @@ def run_pso(problem: SoProblem, config: PsoConfig = PsoConfig()) -> SoResult:
 # Fireworks algorithm (original formulation)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FwaConfig:
-    n_fireworks: int = 20
-    m1: int = 10            # explosion sparks budget
-    m2: int = 10            # Gaussian sparks
-    amplitude: float = 0.4  # max amplitude as a fraction of the box span
-    spark_lo: float = 0.04  # per-firework spark-count bounds as fractions of m1
-    spark_hi: float = 0.8
-
-    def __post_init__(self):
-        if min(self.n_fireworks, self.m1, self.m2) < 1:
-            raise ValueError("counts must be positive")
+_FWA_FIREWORKS = 20
+_FWA_M1 = 10              # explosion sparks budget
+_FWA_M2 = 10              # Gaussian sparks
+_FWA_AMPLITUDE = 0.4      # max amplitude as a fraction of the box span
+_FWA_SPARKS = (1, 8)      # sparks per firework: 0.04 (at least 1) to 0.8 of m1
 
 
 def _map_into_box(X, lb, ub):
@@ -155,29 +137,28 @@ def _map_into_box(X, lb, ub):
     return X
 
 
-def run_fwa(problem: SoProblem, config: FwaConfig = FwaConfig()) -> SoResult:
+def run_fwa(problem: SoProblem) -> SoResult:
     """Fireworks algorithm: rank-dependent explosion amplitudes, Gaussian
-    sparks and distance-based roulette selection keeping the best."""
+    sparks and distance-based roulette selection keeping the best, with
+    20 fireworks, 10 explosion and 10 Gaussian sparks per generation."""
     rng = np.random.Generator(np.random.PCG64(problem.seed))
     lb, ub, d = problem.lb, problem.ub, problem.dim
     span = ub - lb
     eps = 1e-12
-    n = config.n_fireworks
+    n = _FWA_FIREWORKS
     X = lb + rng.random((n, d)) * span
     F = _eval_all(problem.objective, X)
     n_evals = n
     best_i = int(np.argmin(F))
     best_x, best_f = X[best_i].copy(), float(F[best_i])
     trace = [best_f]
-    a_hat = config.amplitude * span
+    a_hat = _FWA_AMPLITUDE * span
     for _ in range(problem.budget):
         f_min, f_max = F.min(), F.max()
         # Better fireworks explode with smaller amplitude and more sparks.
         amps = (F - f_min + eps) / (np.sum(F - f_min) + eps)
-        counts_raw = config.m1 * (f_max - F + eps) / (np.sum(f_max - F) + eps)
-        lo = max(1, int(round(config.spark_lo * config.m1)))
-        hi = max(lo, int(round(config.spark_hi * config.m1)))
-        counts = np.clip(np.round(counts_raw), lo, hi).astype(int)
+        counts_raw = _FWA_M1 * (f_max - F + eps) / (np.sum(f_max - F) + eps)
+        counts = np.clip(np.round(counts_raw), *_FWA_SPARKS).astype(int)
         sparks = []
         for i in range(n):
             for _ in range(counts[i]):
@@ -187,7 +168,7 @@ def run_fwa(problem: SoProblem, config: FwaConfig = FwaConfig()) -> SoResult:
                 h = float(rng.uniform(-1.0, 1.0))
                 s[dims] += amps[i] * a_hat[dims] * h
                 sparks.append(s)
-        for _ in range(config.m2):
+        for _ in range(_FWA_M2):
             i = int(rng.integers(n))
             s = X[i].copy()
             n_dims = int(rng.integers(1, d + 1))
@@ -220,19 +201,12 @@ def run_fwa(problem: SoProblem, config: FwaConfig = FwaConfig()) -> SoResult:
 # L-SHADE
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LshadeConfig:
-    n_init: int = 200
-    history_size: int = 6
-    archive_ratio: float = 2.6
-    p_best: float = 0.11
-    n_min: int = 4
-
-    def __post_init__(self):
-        if self.n_init <= self.n_min:
-            raise ValueError("n_init must exceed n_min")
-        if not 0 < self.p_best <= 1:
-            raise ValueError("p_best must be in (0, 1]")
+# Tanabe & Fukunaga (CEC 2014): H = 6, r_arc = 2.6, p = 0.11.
+_LSHADE_N_INIT = 200
+_LSHADE_N_MIN = 4
+_LSHADE_HISTORY = 6
+_LSHADE_ARCHIVE_RATIO = 2.6
+_LSHADE_P_BEST = 0.11
 
 
 def lshade_population_schedule(gen: int, total: int, n_init: int,
@@ -241,23 +215,22 @@ def lshade_population_schedule(gen: int, total: int, n_init: int,
     return int(round(n_init + (n_min - n_init) * gen / total))
 
 
-def run_lshade(problem: SoProblem,
-               config: LshadeConfig = LshadeConfig()) -> SoResult:
+def run_lshade(problem: SoProblem) -> SoResult:
     """Success-history adaptive DE with linear population size reduction.
 
     current-to-pbest/1 mutation with an external archive, success-history
-    memories updated by weighted Lehmer means and midpoint-to-bound repair.
+    memories updated by weighted Lehmer means and midpoint-to-bound repair;
+    the population shrinks from 200 to 4 over the run.
     """
     rng = np.random.Generator(np.random.PCG64(problem.seed))
     lb, ub, d = problem.lb, problem.ub, problem.dim
-    cfg = config
-    N = cfg.n_init
+    N = _LSHADE_N_INIT
     X = lb + rng.random((N, d)) * (ub - lb)
     F_pop = _eval_all(problem.objective, X)
     n_evals = N
     archive = []
-    M_CR = np.full(cfg.history_size, 0.5)
-    M_F = np.full(cfg.history_size, 0.5)
+    M_CR = np.full(_LSHADE_HISTORY, 0.5)
+    M_F = np.full(_LSHADE_HISTORY, 0.5)
     hist_k = 0
     b = int(np.argmin(F_pop))
     best_x, best_f = X[b].copy(), float(F_pop[b])
@@ -265,12 +238,12 @@ def run_lshade(problem: SoProblem,
     for gen in range(1, problem.budget + 1):
         S_CR, S_F, S_w = [], [], []
         order = np.argsort(F_pop)
-        n_pbest = max(2, int(round(cfg.p_best * N)))
+        n_pbest = max(2, int(round(_LSHADE_P_BEST * N)))
         U = np.empty_like(X)
         CRs = np.empty(N)
         Fs = np.empty(N)
         for i in range(N):
-            r = int(rng.integers(cfg.history_size))
+            r = int(rng.integers(_LSHADE_HISTORY))
             cr = float(np.clip(rng.normal(M_CR[r], 0.1), 0.0, 1.0))
             f = 0.0
             while f <= 0.0:
@@ -312,9 +285,9 @@ def run_lshade(problem: SoProblem,
             M_CR[hist_k] = (np.sum(w * scr ** 2) / np.sum(w * scr)
                             if np.sum(w * scr) > 0 else 0.0)
             M_F[hist_k] = np.sum(w * sf ** 2) / np.sum(w * sf)
-            hist_k = (hist_k + 1) % cfg.history_size
+            hist_k = (hist_k + 1) % _LSHADE_HISTORY
         # trim archive to r_arc * N
-        max_arc = int(round(cfg.archive_ratio * N))
+        max_arc = int(round(_LSHADE_ARCHIVE_RATIO * N))
         while len(archive) > max_arc:
             archive.pop(int(rng.integers(len(archive))))
         b = int(np.argmin(F_pop))
@@ -324,13 +297,13 @@ def run_lshade(problem: SoProblem,
         trace.append(best_f)
         # linear population size reduction
         N_next = lshade_population_schedule(gen, problem.budget,
-                                            cfg.n_init, cfg.n_min)
+                                            _LSHADE_N_INIT, _LSHADE_N_MIN)
         if N_next < N:
             keep = np.argsort(F_pop)[:N_next]
             X = X[keep]
             F_pop = F_pop[keep]
             N = N_next
-            max_arc = int(round(cfg.archive_ratio * N))
+            max_arc = int(round(_LSHADE_ARCHIVE_RATIO * N))
             while len(archive) > max_arc:
                 archive.pop(int(rng.integers(len(archive))))
     return SoResult(best_x, best_f, np.array(trace), n_evals)

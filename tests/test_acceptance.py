@@ -18,9 +18,7 @@ from drafttube.cli import main
 from drafttube.decision import DecisionMatrix, topsis
 from drafttube.evaluator import gci
 from drafttube.opt_multi import (
-    MoeadConfig,
     MoProblem,
-    NsgaConfig,
     additive_epsilon,
     crowding_distance,
     hypervolume2d,
@@ -31,7 +29,6 @@ from drafttube.opt_multi import (
     spea2_fitness,
 )
 from drafttube.opt_single import (
-    LshadeConfig,
     SoProblem,
     run_lshade,
     run_pso,
@@ -166,9 +163,9 @@ def test_multi_objective_quality_on_zdt1():
                          generations=500, seed=seed)
 
     fronts = {
-        "nsga2": run_nsga2(problem(1), NsgaConfig(pop_size=200)).front(),
-        "spea2": run_spea2(problem(2), NsgaConfig(pop_size=200)).front(),
-        "moead": run_moead(problem(3), MoeadConfig(pop_size=200)).front(),
+        "nsga2": run_nsga2(problem(1)).front(),
+        "spea2": run_spea2(problem(2)).front(),
+        "moead": run_moead(problem(3)).front(),
     }
     for name, front in fronts.items():
         hv = hypervolume2d(front, (1.0, 1.0))

@@ -116,6 +116,20 @@ class TestExitCodes:
         assert main(["decide", "--config", "run.cfg"]) == 3
         assert "row 2" in capsys.readouterr().err
 
+    def test_moead_pop_size_below_three_is_2(self, capsys):
+        # DE/rand/1 needs three distinct donors; the MOEAs without it run
+        # with any population of at least one.
+        for stage in ("sample", "evaluate", "train"):
+            assert main([stage, "--config", "run.cfg"]) == 0
+        for pop in ("1", "2"):
+            assert main(["optimize", "--config", "run.cfg", "--optimizer",
+                         "moead", "--pop-size", pop]) == 2
+            assert "pop_size" in capsys.readouterr().err
+        for name, pop in (("moead", "3"), ("nsga2", "1"), ("spea2", "1")):
+            assert main(["optimize", "--config", "run.cfg", "--optimizer",
+                         name, "--pop-size", pop, "--generations", "2",
+                         "--out", f"{name}.csv"]) == 0
+
     def test_diverging_gci_is_3(self):
         assert main(["gci", "0.5", "1.0", "1.5"]) == 3
 

@@ -199,6 +199,7 @@ class TestReference:
         ("r_f", "-0.1"),            # negative corner radius
         ("r_r", "5.0"),             # radius above min(w, h)
         ("kind", "trapezoidal"),    # unknown section kind
+        ("station", "0.0"),         # station not beyond the previous row's
     ])
     def test_bad_station_row_is_named(self, tmp_path, column, value):
         src = resources.files("drafttube") / "data" / "reference_stations.csv"

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from drafttube.opt_multi import (
-    MoeadConfig,
     MoProblem,
-    NsgaConfig,
     ParetoArchive,
     additive_epsilon,
     crowding_distance,
@@ -38,7 +36,7 @@ def zdt1(x):
 
 def zdt1_problem(dim=8, generations=30, seed=0):
     return MoProblem(zdt1, np.zeros(dim), np.ones(dim),
-                     generations=generations, seed=seed)
+                     generations=generations, seed=seed, pop_size=40)
 
 
 class TestDominance:
@@ -186,14 +184,10 @@ class TestIndicators:
         assert val == pytest.approx(0.3)
 
 
-@pytest.mark.parametrize("runner,config", [
-    (run_nsga2, NsgaConfig(pop_size=40)),
-    (run_spea2, NsgaConfig(pop_size=40)),
-    (run_moead, MoeadConfig(pop_size=40)),
-])
+@pytest.mark.parametrize("runner", [run_nsga2, run_spea2, run_moead])
 class TestEvolutionSmoke:
-    def test_finds_a_reasonable_zdt1_front(self, runner, config):
-        archive = runner(zdt1_problem(generations=70, seed=1), config)
+    def test_finds_a_reasonable_zdt1_front(self, runner):
+        archive = runner(zdt1_problem(generations=70, seed=1))
         F = archive.front()
         assert len(F) >= 10
         hv = hypervolume2d(F, (1.0, 1.0))
@@ -201,13 +195,13 @@ class TestEvolutionSmoke:
         # The archive invariant: mutually non-dominated.
         assert np.all(nondominated_mask(F))
 
-    def test_seed_reproducible(self, runner, config):
-        a = runner(zdt1_problem(generations=10, seed=2), config).front()
-        b = runner(zdt1_problem(generations=10, seed=2), config).front()
+    def test_seed_reproducible(self, runner):
+        a = runner(zdt1_problem(generations=10, seed=2)).front()
+        b = runner(zdt1_problem(generations=10, seed=2)).front()
         np.testing.assert_array_equal(a, b)
 
-    def test_solutions_feasible(self, runner, config):
+    def test_solutions_feasible(self, runner):
         problem = zdt1_problem(generations=10, seed=3)
-        archive = runner(problem, config)
+        archive = runner(problem)
         X = archive.points()
         assert np.all(X >= problem.lb) and np.all(X <= problem.ub)

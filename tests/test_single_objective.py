@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from drafttube.opt_single import (
-    FwaConfig,
-    LshadeConfig,
-    PsoConfig,
     SoProblem,
     linear_inertia,
     lshade_population_schedule,
@@ -83,8 +80,20 @@ class TestCommonOptimizerProperties:
         assert not np.array_equal(a.trace, c.trace)
 
     def test_reports_evaluation_count(self, name):
-        result = RUNNERS[name](box_problem(3, budget=20, seed=3))
-        assert result.n_evals > 0
+        budget = 20
+        result = RUNNERS[name](box_problem(3, budget=budget, seed=3))
+        # PSO evaluates its 20 particles once more per generation; L-SHADE
+        # evaluates each generation's population, shrinking from 200 to 4.
+        # FWA's spark count depends on the fitness spread.
+        expected = {
+            "pso": 20 * (budget + 1),
+            "lshade": 200 + sum(lshade_population_schedule(g, budget, 200, 4)
+                                for g in range(budget)),
+        }
+        if name in expected:
+            assert result.n_evals == expected[name]
+        else:
+            assert result.n_evals > 0
 
 
 class TestConvergenceSmoke:
@@ -96,8 +105,7 @@ class TestConvergenceSmoke:
         assert result.best_f < 1e-3
 
     def test_lshade_sphere(self):
-        result = run_lshade(box_problem(6, budget=150, seed=4),
-                            LshadeConfig(n_init=60))
+        result = run_lshade(box_problem(6, budget=150, seed=4))
         assert result.best_f < 1e-6
 
     def test_fwa_multimodal(self):
@@ -105,17 +113,3 @@ class TestConvergenceSmoke:
                             budget=150, seed=4)
         result = run_fwa(problem)
         assert result.best_f < 1.0
-
-
-class TestConfigs:
-    def test_pso_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            PsoConfig(n_particles=0)
-
-    def test_fwa_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            FwaConfig(n_fireworks=0)
-
-    def test_lshade_rejects_min_above_init(self):
-        with pytest.raises(ValueError):
-            LshadeConfig(n_init=10, n_min=20)

@@ -290,6 +290,10 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_tune(args, cfg) -> int:
+    if args.epochs < 1:
+        raise UsageError("--epochs must be >= 1")
+    if args.patience < 0:
+        raise UsageError("--patience must be >= 0")
     data = _prepare_dataset(args.infile, cfg)
     best_cfg, best_score, log = surrogate.tune(
         data.X_train, data.Y_train, trials=cfg["trials"], seed=cfg["seed"],

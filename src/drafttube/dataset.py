@@ -154,7 +154,6 @@ class Dataset:
     test_idx: np.ndarray
     x_scaler: MinMaxScaler
     y_scaler: MinMaxScaler
-    seed: int
 
     @classmethod
     def prepare(cls, X: np.ndarray, Y: np.ndarray, ratio: float = 0.8,
@@ -172,7 +171,7 @@ class Dataset:
         train_idx, test_idx = split(len(X), ratio=ratio, seed=seed)
         x_scaler = MinMaxScaler().fit(X[train_idx])
         y_scaler = MinMaxScaler().fit(Y[train_idx])
-        return cls(X, Y, train_idx, test_idx, x_scaler, y_scaler, seed)
+        return cls(X, Y, train_idx, test_idx, x_scaler, y_scaler)
 
     @property
     def X_train(self) -> np.ndarray:

@@ -12,15 +12,13 @@ from importlib import resources
 import numpy as np
 
 from . import geometry
-from .geometry import DraftTubeDesign, GeometryError
+from .geometry import DraftTubeDesign
 
 __all__ = [
     "EvaluationError",
     "ObjectivePair",
     "GciReport",
     "OracleConstants",
-    "design_features",
-    "objectives_from_features",
     "synthetic_cfd",
     "x_columns",
     "write_table",
@@ -83,39 +81,27 @@ def _curvature_penalty(design: DraftTubeDesign) -> float:
     return total / 3.0
 
 
-def design_features(design: DraftTubeDesign) -> dict:
-    """Scalar features the oracle maps to objectives."""
-    feats = geometry.areas(design)
-    feats["curvature"] = _curvature_penalty(design)
-    # Hydraulic diameter of the (fixed) circular inlet.
-    feats["D_h"] = 2.0 * float(design.w[0])
-    return feats
-
-
-def objectives_from_features(feats: dict, constants: OracleConstants) -> ObjectivePair:
-    """Deterministic smooth map from geometric features to (Cp, Cd).
+def synthetic_cfd(design: DraftTubeDesign,
+                  constants: OracleConstants | None = None) -> ObjectivePair:
+    """Evaluate a synthesized design with the synthetic quasi-physics oracle.
 
     Cp follows the ideal-diffuser area-ratio term minus a curvature loss;
     Cd combines a frictional length term, a squared wall-slope loss and the
     same curvature loss.
     """
-    ratio = feats["A_in"] / feats["A_out"]
-    if ratio <= 0:
-        raise GeometryError("degenerate area ratio")
-    cp = (constants.diffusion_gain * (1.0 - ratio ** 2)
-          - constants.curvature_weight * feats["curvature"])
-    cd = (constants.friction_coefficient * feats["length"] / feats["D_h"]
-          + constants.slope_weight * feats["mean_slope"] ** 2
-          + constants.curvature_weight * feats["curvature"])
-    return ObjectivePair(cp, cd)
-
-
-def synthetic_cfd(design: DraftTubeDesign,
-                  constants: OracleConstants | None = None) -> ObjectivePair:
-    """Evaluate a synthesized design with the synthetic quasi-physics oracle."""
     if constants is None:
         constants = OracleConstants.load()
-    return objectives_from_features(design_features(design), constants)
+    bulk = geometry.areas(design)
+    curvature = _curvature_penalty(design)
+    # Hydraulic diameter of the (fixed) circular inlet.
+    d_h = 2.0 * float(design.w[0])
+    ratio = bulk["A_in"] / bulk["A_out"]
+    cp = (constants.diffusion_gain * (1.0 - ratio ** 2)
+          - constants.curvature_weight * curvature)
+    cd = (constants.friction_coefficient * bulk["length"] / d_h
+          + constants.slope_weight * bulk["mean_slope"] ** 2
+          + constants.curvature_weight * curvature)
+    return ObjectivePair(cp, cd)
 
 
 # ---------------------------------------------------------------------------

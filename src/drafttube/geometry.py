@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,10 +22,8 @@ __all__ = [
     "DesignVector",
     "DraftTubeDesign",
     "eval_curve",
-    "clamped_knots",
     "synthesize",
     "areas",
-    "cross_section_area",
     "load_reference",
     "scenario_bounds",
     "N_STATIONS",
@@ -46,19 +43,6 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 # B-spline primitives
 # ---------------------------------------------------------------------------
-
-def clamped_knots(n_ctrl: int, k: int) -> np.ndarray:
-    """Clamped knot vector on [0, 1] with evenly spaced internal knots.
-
-    Length is ``n_ctrl + k``: the first and last knots repeat ``k`` times so
-    the curve interpolates its end control points.
-    """
-    if n_ctrl < k:
-        raise GeometryError(f"need at least {k} control points, got {n_ctrl}")
-    n_internal = n_ctrl - k
-    internal = np.linspace(0.0, 1.0, n_internal + 2)[1:-1]
-    return np.concatenate([np.zeros(k), internal, np.ones(k)])
-
 
 @dataclass(frozen=True)
 class BSplineCurve:
@@ -225,9 +209,9 @@ class DesignVector:
 
 @dataclass(frozen=True)
 class DraftTubeDesign:
-    """A synthesized design: displaced curves and its cross-sections as one
+    """A synthesized design: displaced curves, its cross-sections as one
     array of length N_STATIONS per field (station coordinate xs, half-width
-    w, half-height h, roof and floor corner radii, section kind)."""
+    w, half-height h) and the roof and floor corner radii of the outlet."""
 
     roof: BSplineCurve
     floor: BSplineCurve
@@ -235,9 +219,7 @@ class DraftTubeDesign:
     xs: np.ndarray
     w: np.ndarray
     h: np.ndarray
-    r_r: np.ndarray
-    r_f: np.ndarray
-    kind: np.ndarray
+    r_out: tuple[float, float]
 
 
 def scenario_bounds(scenario: str) -> tuple[np.ndarray, np.ndarray]:
@@ -313,32 +295,12 @@ def synthesize(reference: ReferenceGeometry, x: DesignVector) -> DraftTubeDesign
         raise GeometryError("non-positive duct width for this offset vector")
     h = 0.5 * (roof_y - floor_y)
 
-    # Radii interpolate between adjacent reference sections, clamped so the
-    # rounded corners always fit inside the section.
-    lim = np.minimum(w, h)
-    r_r = np.minimum(np.interp(xs, reference.xs, reference.r_r), lim)
-    r_f = np.minimum(np.interp(xs, reference.xs, reference.r_f), lim)
-    full_r = r_r >= lim - 1e-9
-    kind = np.select(
-        [full_r & (np.abs(w - h) < 1e-9), full_r & (r_f >= lim - 1e-9)],
-        ["circular", "ellipsoidal"], "rounded-rectangle")
-    kind[0], kind[-1] = "circular", "rounded-rectangle"
-    return DraftTubeDesign(roof, floor, width, xs, w, h, r_r, r_f, kind)
-
-
-def cross_section_area(kind: str, w: float, h: float, r_r: float,
-                       r_f: float) -> float:
-    """Area of one cross-section of half-width w and half-height h.
-
-    Circular sections use pi*w^2; rounded rectangles use 4wh minus the two
-    roof and two floor corner cut-offs, (4 - pi)/2 * (r_r^2 + r_f^2), which
-    degenerates to the circle/ellipse area when the radii reach min(w, h).
-    """
-    if kind == "circular":
-        return math.pi * w ** 2
-    if kind == "ellipsoidal":
-        return math.pi * w * h
-    return 4.0 * w * h - (4.0 - math.pi) / 2.0 * (r_r ** 2 + r_f ** 2)
+    # The outlet's radii interpolate between adjacent reference sections,
+    # clamped so the rounded corners fit inside the section.
+    lim = np.minimum(w[-1], h[-1])
+    r_out = (np.minimum(np.interp(xs[-1], reference.xs, reference.r_r), lim),
+             np.minimum(np.interp(xs[-1], reference.xs, reference.r_f), lim))
+    return DraftTubeDesign(roof, floor, width, xs, w, h, r_out)
 
 
 def station_profiles(design: DraftTubeDesign):
@@ -351,14 +313,16 @@ def areas(design: DraftTubeDesign) -> dict:
     """Bulk quantities feeding the synthetic evaluator.
 
     Returns inlet/outlet areas, the centreline (mid-curve) arc length and the
-    mean wall slope in radians.
+    mean wall slope in radians. The inlet is a circle of radius w[0]; the
+    outlet is a rounded rectangle, 4wh minus the two roof and two floor
+    corner cut-offs (4 - pi)/2 * (r_r^2 + r_f^2).
     """
-    a_in, a_out = (cross_section_area(design.kind[j], design.w[j], design.h[j],
-                                      design.r_r[j], design.r_f[j])
-                   for j in (0, -1))
+    xs, h, w = design.xs, design.h, design.w
+    r_r, r_f = design.r_out
+    a_in = np.pi * w[0] ** 2
+    a_out = 4.0 * w[-1] * h[-1] - (4.0 - np.pi) / 2.0 * (r_r ** 2 + r_f ** 2)
     if a_in <= 0 or a_out <= 0:
         raise GeometryError("degenerate inlet or outlet section")
-    xs, h, w = design.xs, design.h, design.w
     roof_y = _curve_y(design.roof, xs)
     floor_y = _curve_y(design.floor, xs)
     mid = 0.5 * (roof_y + floor_y)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 __all__ = ["svg_scatter", "svg_polylines"]
@@ -23,15 +25,16 @@ def _axes(x_min, x_max, y_min, y_max, x_label, y_label, title):
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16">'
-        f'{title}</text>',
+        f'{escape(title, quote=False)}</text>',
         f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN}" '
         f'y2="{_H - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
         f'y2="{_H - _MARGIN}" stroke="black"/>',
         f'<text x="{_W / 2}" y="{_H - 16}" text-anchor="middle" '
-        f'font-size="13">{x_label}</text>',
+        f'font-size="13">{escape(x_label, quote=False)}</text>',
         f'<text x="18" y="{_H / 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 18 {_H / 2})">{y_label}</text>',
+        f'transform="rotate(-90 18 {_H / 2})">'
+        f'{escape(y_label, quote=False)}</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x_min + frac * (x_max - x_min)
@@ -67,13 +70,13 @@ def svg_scatter(series: dict, x_label: str, y_label: str, title: str,
                          f'fill="{color}" fill-opacity="0.7"/>')
         parts.append(f'<text x="{_W - _MARGIN}" y="{_MARGIN + 16 * ci}" '
                      f'text-anchor="end" font-size="12" fill="{color}">'
-                     f'{name}</text>')
+                     f'{escape(name, quote=False)}</text>')
     if highlight:
         for name, (x, y) in highlight.items():
             parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="6" '
                          f'fill="none" stroke="black" stroke-width="2"/>')
             parts.append(f'<text x="{sx(x) + 8:.2f}" y="{sy(y) - 8:.2f}" '
-                         f'font-size="12">{name}</text>')
+                         f'font-size="12">{escape(name, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -99,6 +102,6 @@ def svg_polylines(series: dict, x_label: str, y_label: str, title: str,
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MARGIN}" y="{_MARGIN + 16 * ci}" '
                      f'text-anchor="end" font-size="12" fill="{color}">'
-                     f'{name}</text>')
+                     f'{escape(name, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

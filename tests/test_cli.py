@@ -130,6 +130,14 @@ class TestExitCodes:
                          name, "--pop-size", pop, "--generations", "2",
                          "--out", f"{name}.csv"]) == 0
 
+    @pytest.mark.parametrize("flag,value", [("--epochs", "0"),
+                                            ("--patience", "-1")])
+    def test_bad_tune_budget_is_2_and_named(self, capsys, flag, value):
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        assert main(["evaluate", "--config", "run.cfg"]) == 0
+        assert main(["tune", "--config", "run.cfg", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_diverging_gci_is_3(self):
         assert main(["gci", "0.5", "1.0", "1.5"]) == 3
 

@@ -3,11 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from drafttube import cli, doe
 from drafttube.doe import read_samples_csv
 from drafttube.evaluator import (
     EvaluationError,
     OracleConstants,
-    design_features,
     gci,
     ingest_csv,
     read_table,
@@ -36,11 +36,24 @@ class TestSyntheticOracle:
         b = synthetic_cfd(reference_design)
         assert (a.cp, a.cd) == (b.cp, b.cd)
 
-    def test_feature_keys(self, reference_design):
-        feats = design_features(reference_design)
-        assert set(feats) >= {"A_in", "A_out", "length", "mean_slope",
-                              "curvature", "D_h"}
-        assert all(v > 0 for v in feats.values())
+    def test_recorded_values(self):
+        # Rows: zero offsets, lb, ub, then one LHS row (seed 7).
+        expected = {
+            "II.a": [(0.8190000000119014, 0.1309999999972458),
+                     (0.6457051102519298, 0.19135877006461155),
+                     (0.8469553789123302, 0.19786367081771483),
+                     (0.7443435812495885, 0.21673041695710002)],
+            "I.b": [(0.8190000000119014, 0.1309999999972458),
+                    (0.7112798742543296, 0.15977068410536405),
+                    (0.7098359554867901, 0.16115400125061494),
+                    (0.6476679879347557, 0.17534522171343037)],
+        }
+        for scenario, values in expected.items():
+            lb, ub = scenario_bounds(scenario)
+            X = np.vstack([np.zeros_like(lb), lb, ub,
+                           doe.lhs(doe.DoePlan(1, lb, ub, seed=7))])
+            np.testing.assert_allclose(cli.evaluate_samples(X, lb, ub),
+                                       values, rtol=1e-12, atol=0)
 
     def test_constants_are_loaded_from_data(self):
         c = OracleConstants.load()

@@ -1,6 +1,7 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from drafttube.report import svg_polylines, svg_scatter
 
@@ -10,14 +11,17 @@ def parse(svg: str):
 
 
 class TestScatter:
-    def test_emits_valid_svg_with_all_points(self):
+    @pytest.mark.parametrize("name", ["front_a", "a&b<c>"])
+    def test_emits_valid_svg_with_all_points(self, name):
         rng = np.random.Generator(np.random.PCG64(0))
-        series = {"front_a": rng.random((12, 2)), "front_b": rng.random((7, 2))}
+        series = {name: rng.random((12, 2)), "front_b": rng.random((7, 2))}
         svg = svg_scatter(series, "f1", "f2", "fronts")
         root = parse(svg)
         assert root.tag.endswith("svg")
         circles = [e for e in root.iter() if e.tag.endswith("circle")]
         assert len(circles) == 19
+        texts = [e.text for e in root.iter() if e.tag.endswith("text")]
+        assert name in texts
 
     def test_highlight_adds_marker_and_label(self):
         svg = svg_scatter({"front": np.array([[0.5, 0.5]])}, "x", "y", "t",

@@ -299,7 +299,8 @@ def cmd_tune(args, cfg) -> int:
         data.X_train, data.Y_train, trials=cfg["trials"], seed=cfg["seed"],
         epochs=args.epochs, patience=args.patience)
     evaluator.write_table(
-        args.out, lineage_comment("tune", cfg),
+        args.out, lineage_comment("tune", cfg)
+        + f" epochs={args.epochs} patience={args.patience}",
         ["trial", "score_r2", "hidden_layers", "dropout", "learning_rate",
          "activation", "initializer"],
         ([i, score, "x".join(map(str, c.hidden_layers)),
@@ -318,6 +319,8 @@ def _load_model_checked(path, cfg) -> surrogate.MlpModel:
         model = surrogate.load_model(path)
     except OSError as exc:
         raise DataError(f"missing upstream artifact: {exc}") from None
+    except SurrogateError as exc:
+        raise DataError(str(exc)) from None
     lin = model.meta.get("lineage", {})
     if lin.get("scenario") != cfg["scenario"]:
         raise DataError(f"{path}: scenario mismatch: model is "

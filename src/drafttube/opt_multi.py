@@ -315,8 +315,8 @@ def _spea2_truncate(F: np.ndarray, target: int) -> np.ndarray:
     while len(alive) > target:
         sub = dist[np.ix_(alive, alive)]
         ordered = np.sort(sub, axis=1)
-        # lexicographic comparison of sorted neighbor distances
-        worst = min(range(len(alive)), key=lambda i: tuple(ordered[i]))
+        # first lexicographic minimum of the sorted neighbor distances
+        worst = int(np.lexsort(ordered.T[::-1])[0])
         alive.pop(worst)
     return np.array(alive)
 

@@ -9,7 +9,8 @@ activations and six initializers; batch size 32 and 512 epochs are fixed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -160,7 +161,11 @@ TUNED_SCENARIO_II = MlpConfig((26, 24, 32, 12, 6), activation="elu")
 
 
 class MlpModel:
-    """Feed-forward regressor with a linear two-unit output layer."""
+    """Feed-forward regressor with a linear two-unit output layer.
+
+    All weights, then all biases, live in the one vector ``theta``; ``W`` and
+    ``b`` are per-layer views into it, in the order ``gradients`` returns.
+    """
 
     def __init__(self, n_inputs: int, config: MlpConfig, seed: int = 0,
                  n_outputs: int = 2):
@@ -172,15 +177,18 @@ class MlpModel:
         self.meta: dict = {}
         rng = np.random.Generator(np.random.PCG64(seed))
         sizes = [n_inputs, *config.hidden_layers, n_outputs]
-        self.W, self.b = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            dist, scale = _init_scale(config.initializer, fan_in, fan_out)
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        lengths = [fan_in * fan_out for fan_in, fan_out in shapes] + sizes[1:]
+        self.theta = np.zeros(sum(lengths))
+        views = np.split(self.theta, np.cumsum(lengths)[:-1])
+        self.W = [w.reshape(shape) for w, shape in zip(views, shapes)]
+        self.b = views[len(shapes):]
+        for W in self.W:
+            dist, scale = _init_scale(config.initializer, *W.shape)
             if dist == "normal":
-                W = rng.normal(0.0, scale, size=(fan_in, fan_out))
+                W[...] = rng.normal(0.0, scale, size=W.shape)
             else:
-                W = rng.uniform(-scale, scale, size=(fan_in, fan_out))
-            self.W.append(W)
-            self.b.append(np.zeros(fan_out))
+                W[...] = rng.uniform(-scale, scale, size=W.shape)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Inference pass (dropout inactive); accepts (n, d) or (d,)."""
@@ -203,12 +211,8 @@ class MlpModel:
         return self.y_scaler.invert(self.forward(self.x_scaler.apply(X_raw)))
 
     def parameters(self):
+        """Per-layer views into ``theta``: all weights, then all biases."""
         return self.W + self.b
-
-    def set_parameters(self, params):
-        k = len(self.W)
-        self.W = [p.copy() for p in params[:k]]
-        self.b = [p.copy() for p in params[k:]]
 
     # -- training internals -------------------------------------------------
 
@@ -258,7 +262,6 @@ class MlpModel:
 
 @dataclass
 class TrainingHistory:
-    train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     stopped_epoch: int = 0
     best_epoch: int = 0
@@ -279,48 +282,45 @@ def train(model: MlpModel, X_train, Y_train, X_val, Y_val,
     X_val = np.asarray(X_val, dtype=float)
     Y_val = np.asarray(Y_val, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = model.parameters()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta = model.theta
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     history = TrainingHistory()
-    best_params = [p.copy() for p in params]
+    best = theta.copy()
     bad_epochs = 0
     n = len(X_train)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grads = model.gradients(X_train[idx], Y_train[idx], rng)
             if not np.isfinite(loss):
                 raise SurrogateError(
                     f"training diverged at epoch {epoch} (loss={loss})")
-            epoch_loss += loss * len(idx)
             step += 1
-            for p, g, mi, vi in zip(params, grads, m, v):
-                mi *= beta1
-                mi += (1 - beta1) * g
-                vi *= beta2
-                vi += (1 - beta2) * g ** 2
-                m_hat = mi / (1 - beta1 ** step)
-                v_hat = vi / (1 - beta2 ** step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        history.train_loss.append(epoch_loss / n)
+            g = np.concatenate([gi.ravel() for gi in grads])
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g ** 2
+            m_hat = m / (1 - beta1 ** step)
+            v_hat = v / (1 - beta2 ** step)
+            theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         val_loss = float(np.mean((model.forward(X_val) - Y_val) ** 2))
         history.val_loss.append(val_loss)
         if val_loss < history.best_val_loss:
             history.best_val_loss = val_loss
             history.best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best = theta.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs > cfg.patience:
                 break
     history.stopped_epoch = epoch
-    model.set_parameters(best_params)
+    theta[...] = best
     return history
 
 
@@ -334,42 +334,38 @@ class MetricsReport:
     rrmse: np.ndarray  # percent, per target
     r2: np.ndarray     # per target
 
-    @property
-    def mean_r2(self) -> float:
-        return float(np.mean(self.r2))
+
+def _r2(y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Per-target R^2 of 2-D arrays; a constant target column has none."""
+    r2 = np.empty(y.shape[1])
+    for j, (yj, pj) in enumerate(zip(y.T, y_hat.T)):
+        if yj.max() - yj.min() <= 0:
+            raise SurrogateError("constant target column; R^2 undefined")
+        r2[j] = 1.0 - np.sum((yj - pj) ** 2) / np.sum((yj - yj.mean()) ** 2)
+    return r2
 
 
 def metrics(y: np.ndarray, y_hat: np.ndarray) -> MetricsReport:
     """Per-target MAPE, rRMSE and R^2.
 
     Rows with a zero observed value are excluded from MAPE (with a warning);
-    rRMSE requires a non-constant target column.
+    every target column must be non-constant.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float).T).T
     y_hat = np.atleast_2d(np.asarray(y_hat, dtype=float).T).T
     if y.shape != y_hat.shape or len(y) < 2:
         raise SurrogateError("metrics need matching arrays of length >= 2")
-    n_t = y.shape[1]
-    mape = np.empty(n_t)
-    rrmse = np.empty(n_t)
-    r2 = np.empty(n_t)
-    for j in range(n_t):
-        yj, pj = y[:, j], y_hat[:, j]
+    r2 = _r2(y, y_hat)
+    mape = np.empty(len(r2))
+    rrmse = np.empty(len(r2))
+    for j, (yj, pj) in enumerate(zip(y.T, y_hat.T)):
         nz = yj != 0
         if not np.all(nz):
-            import warnings
             warnings.warn(f"target {j}: {np.sum(~nz)} zero rows excluded "
                           "from MAPE", stacklevel=2)
-        if not np.any(nz):
-            raise SurrogateError("all observed values are zero; MAPE undefined")
         mape[j] = np.mean(np.abs((yj[nz] - pj[nz]) / yj[nz])) * 100.0
-        spread = yj.max() - yj.min()
-        if spread <= 0:
-            raise SurrogateError("constant target column; rRMSE undefined")
-        rrmse[j] = np.sqrt(np.mean((yj - pj) ** 2)) / spread * 100.0
-        ss_res = np.sum((yj - pj) ** 2)
-        ss_tot = np.sum((yj - yj.mean()) ** 2)
-        r2[j] = 1.0 - ss_res / ss_tot
+        rrmse[j] = (np.sqrt(np.mean((yj - pj) ** 2)) / (yj.max() - yj.min())
+                    * 100.0)
     return MetricsReport(mape, rrmse, r2)
 
 
@@ -394,7 +390,8 @@ def tune(X_train, Y_train, trials: int = 500, seed: int = 0, k: int = 5,
          epochs: int = 512, patience: int = 32):
     """Seeded random search over the hyperparameter space.
 
-    Each trial is scored by the mean cross-validated R^2 over both targets.
+    Each trial is scored by the mean cross-validated R^2 over both targets;
+    a divergent trial, or a fold with a constant target column, scores -inf.
     Returns (best_config, best_score, trial_log).
     """
     if trials < 1:
@@ -406,21 +403,18 @@ def tune(X_train, Y_train, trials: int = 500, seed: int = 0, k: int = 5,
     log = []
     best_cfg, best_score = None, -np.inf
     for trial in range(trials):
-        cfg = _sample_config(rng)
-        cfg = MlpConfig(cfg.hidden_layers, cfg.dropout, cfg.learning_rate,
-                        cfg.activation, cfg.initializer,
-                        epochs=epochs, patience=patience)
+        cfg = replace(_sample_config(rng), epochs=epochs, patience=patience)
         scores = []
         try:
             for fi, (tr, va) in enumerate(folds):
                 model = MlpModel(X_train.shape[1], cfg, seed=seed * 1000 + trial)
                 train(model, X_train[tr], Y_train[tr], X_train[va], Y_train[va],
                       seed=seed * 1000 + trial * 10 + fi)
-                rep = metrics(Y_train[va], model.forward(X_train[va]))
-                scores.append(rep.mean_r2)
+                scores.append(np.mean(_r2(Y_train[va],
+                                          model.forward(X_train[va]))))
             score = float(np.mean(scores))
         except SurrogateError:
-            score = -np.inf  # divergent trial
+            score = -np.inf
         log.append((cfg, score))
         if score > best_score:
             best_cfg, best_score = cfg, score
@@ -436,16 +430,7 @@ def save_model(model: MlpModel, path) -> None:
     doc = {
         "n_inputs": model.n_inputs,
         "n_outputs": model.n_outputs,
-        "config": {
-            "hidden_layers": list(model.config.hidden_layers),
-            "dropout": list(model.config.dropout),
-            "learning_rate": model.config.learning_rate,
-            "activation": model.config.activation,
-            "initializer": model.config.initializer,
-            "batch_size": model.config.batch_size,
-            "epochs": model.config.epochs,
-            "patience": model.config.patience,
-        },
+        "config": asdict(model.config),
         "weights": [W.tolist() for W in model.W],
         "biases": [b.tolist() for b in model.b],
         "x_scaler": model.x_scaler.to_dict() if model.x_scaler else None,
@@ -459,25 +444,32 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a ``save_model`` file; malformed content raises SurrogateError."""
     with open(path) as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != _MAGIC:
-            raise SurrogateError(f"{path}: bad magic header {magic!r}")
-        doc = json.load(fh)
-    cfg = MlpConfig(tuple(doc["config"]["hidden_layers"]),
-                    tuple(doc["config"]["dropout"]),
-                    doc["config"]["learning_rate"],
-                    doc["config"]["activation"],
-                    doc["config"]["initializer"],
-                    doc["config"]["batch_size"],
-                    doc["config"]["epochs"],
-                    doc["config"]["patience"])
-    model = MlpModel(doc["n_inputs"], cfg, n_outputs=doc["n_outputs"])
-    model.W = [np.array(W, dtype=float) for W in doc["weights"]]
-    model.b = [np.array(b, dtype=float) for b in doc["biases"]]
-    if doc["x_scaler"]:
-        model.x_scaler = MinMaxScaler.from_dict(doc["x_scaler"])
-    if doc["y_scaler"]:
-        model.y_scaler = MinMaxScaler.from_dict(doc["y_scaler"])
-    model.meta = doc.get("meta", {})
+        try:
+            magic = fh.readline().rstrip("\n")
+            if magic != _MAGIC:
+                raise ValueError(f"bad magic header {magic!r}")
+            doc = json.load(fh)
+            missing = {f.name for f in fields(MlpConfig)} - set(doc["config"])
+            if missing:
+                raise KeyError(f"config lacks {sorted(missing)}")
+            model = MlpModel(doc["n_inputs"], MlpConfig(**doc["config"]),
+                             n_outputs=doc["n_outputs"])
+            params = model.parameters()
+            stored = [np.array(a, dtype=float)
+                      for a in doc["weights"] + doc["biases"]]
+            if [a.shape for a in stored] != [p.shape for p in params]:
+                raise ValueError("weight and bias shapes do not match the "
+                                 "config")
+            for p, a in zip(params, stored):
+                p[...] = a
+            if doc["x_scaler"]:
+                model.x_scaler = MinMaxScaler.from_dict(doc["x_scaler"])
+            if doc["y_scaler"]:
+                model.y_scaler = MinMaxScaler.from_dict(doc["y_scaler"])
+            model.meta = doc.get("meta", {})
+        except (KeyError, TypeError, ValueError, SurrogateError) as exc:
+            raise SurrogateError(f"{path}: malformed model: "
+                                 f"{type(exc).__name__}: {exc}") from None
     return model

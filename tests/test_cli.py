@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from drafttube import cli, doe, geometry
+from drafttube import cli, doe, geometry, surrogate
 from drafttube.cli import (
     DataError,
     UsageError,
@@ -138,6 +140,22 @@ class TestExitCodes:
         assert main(["tune", "--config", "run.cfg", flag, value]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "dropped-layer"])
+    def test_malformed_model_is_3_and_named(self, capsys, damage):
+        model = surrogate.MlpModel(18, surrogate.TUNED_SCENARIO_II)
+        model.meta = {"lineage": {"scenario": "II.a"}}
+        surrogate.save_model(model, "model.json")
+        magic, body = open("model.json").read().split("\n", 1)
+        if damage == "truncated":
+            body = body[:len(body) // 2]
+        else:
+            doc = json.loads(body)
+            del doc["weights"][1]
+            body = json.dumps(doc)
+        open("model.json", "w").write(magic + "\n" + body)
+        assert main(["optimize", "--config", "run.cfg"]) == 3
+        assert "model.json" in capsys.readouterr().err
+
     def test_diverging_gci_is_3(self):
         assert main(["gci", "0.5", "1.0", "1.5"]) == 3
 
@@ -186,6 +204,20 @@ class TestLineage:
         (tmp_path / "naked.csv").write_text("x1\n0.0\n")
         with pytest.raises(DataError):
             read_lineage("naked.csv")
+
+    def test_tune_budget_is_in_the_lineage(self):
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        assert main(["evaluate", "--config", "run.cfg"]) == 0
+        firsts = []
+        for epochs in ("2", "3"):
+            out = f"tuning{epochs}.csv"
+            assert main(["tune", "--config", "run.cfg", "--trials", "1",
+                         "--epochs", epochs, "--patience", "1",
+                         "--out", out]) == 0
+            firsts.append(open(out).readline())
+            lin = read_lineage(out)
+            assert (lin["epochs"], lin["patience"]) == (epochs, "1")
+        assert firsts[0] != firsts[1]
 
     def test_report_refuses_mixed_lineage(self):
         assert main(["sample", "--config", "run.cfg"]) == 0

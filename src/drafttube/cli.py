@@ -168,9 +168,11 @@ def read_lineage(path) -> dict:
     raise DataError(f"{path}: no lineage comment on the first line")
 
 
-def check_lineage(path, cfg: dict, expect_stage: str) -> dict:
+def check_lineage(path, cfg: dict, expect_stage: str | None = None) -> dict:
+    """The artifact's lineage, after checking its scenario against the run's
+    and, unless ``expect_stage`` is None, its stage."""
     lin = read_lineage(path)
-    if lin.get("stage") != expect_stage:
+    if expect_stage is not None and lin.get("stage") != expect_stage:
         raise DataError(f"{path}: expected a {expect_stage!r} artifact, "
                         f"got stage {lin.get('stage')!r}")
     if lin.get("scenario") != cfg["scenario"]:
@@ -412,10 +414,10 @@ def cmd_decide(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     paths = args.inputs + ([args.decision] if args.decision else [])
-    first = read_lineage(paths[0])
+    first = check_lineage(paths[0], cfg)
     for path in paths[1:]:
-        lin = read_lineage(path)
-        for key in ("scenario", "seed", "config"):
+        lin = check_lineage(path, cfg)
+        for key in ("seed", "config"):
             if lin.get(key) != first.get(key):
                 raise DataError(
                     f"lineage mismatch: {paths[0]} has "

@@ -216,6 +216,10 @@ def gci(eps_cm: float, eps_mf: float, r: float, F_s: float = 1.25,
     - ``trend="shared"``: both epsilons normalized by one common value,
       p = ln(eps_cm / eps_mf) / ln(r) exactly.
     """
+    for name, value in (("eps_cm", eps_cm), ("eps_mf", eps_mf), ("r", r),
+                        ("F_s", F_s)):
+        if not math.isfinite(value):
+            raise EvaluationError(f"{name} must be finite, got {value}")
     if eps_cm <= 0 or eps_mf <= 0:
         raise EvaluationError("relative differences must be positive")
     if r <= 1:

@@ -75,18 +75,7 @@ class ParetoArchive:
         if self.X is not None:
             X = np.vstack([self.X, X])
             F = np.vstack([self.F, F])
-        order = np.lexsort((F[:, 1], F[:, 0]))
-        keep = []
-        min_f2 = np.inf
-        min_f2_f1 = np.inf
-        for idx in order:
-            f1, f2 = F[idx]
-            if f2 < min_f2:
-                keep.append(idx)
-                min_f2, min_f2_f1 = f2, f1
-            elif f2 == min_f2 and f1 == min_f2_f1:
-                keep.append(idx)
-        keep = np.sort(np.array(keep))
+        keep = np.sort(_front_2d(F))
         self.X, self.F = X[keep], F[keep]
 
     def front(self) -> np.ndarray:
@@ -100,34 +89,53 @@ class ParetoArchive:
 # Dominance utilities
 # ---------------------------------------------------------------------------
 
+def _front_2d(F) -> np.ndarray:
+    """Row indices of F (n, 2) that no other row dominates, in (f1, f2) order.
+
+    In that order a row can only be dominated by an earlier one: it is kept
+    when its f2 is below the running minimum of the f2 before it, or equals
+    that minimum and is an exact duplicate of the row that set it.
+    """
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != 2:
+        raise ValueError(f"need (n, 2) objectives, got shape {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("objectives must be finite")
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    f1, f2 = F[order, 0], F[order, 1]
+    prev_min = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
+    new_min = f2 < prev_min
+    setter = np.maximum.accumulate(np.where(new_min, np.arange(len(f2)), 0))
+    return order[new_min | ((f2 == prev_min) & (f1 == f1[setter]))]
+
+
 def _dominance_matrix(F: np.ndarray) -> np.ndarray:
     """dom[i, j] is True when point i dominates point j."""
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=-1)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=-1)
+    n = len(F)
+    le = np.ones((n, n), dtype=bool)
+    lt = np.zeros((n, n), dtype=bool)
+    for col in F.T:
+        le &= col[:, None] <= col[None, :]
+        lt |= col[:, None] < col[None, :]
     return le & lt
 
 
 def nondominated_sort(F: np.ndarray) -> list:
-    """Fast non-dominated sorting; returns index arrays, rank 0 first."""
+    """Index arrays of the non-dominated fronts, rank 0 first, each ascending."""
     F = np.asarray(F, dtype=float)
-    if not np.all(np.isfinite(F)):
-        raise ValueError("objectives must be finite")
-    dom = _dominance_matrix(F)
-    n_dominators = dom.sum(axis=0)
+    rest = np.arange(len(F))
     fronts = []
-    remaining = n_dominators.copy()
-    assigned = np.zeros(len(F), dtype=bool)
-    while not assigned.all():
-        current = np.flatnonzero((remaining == 0) & ~assigned)
-        fronts.append(current)
-        assigned[current] = True
-        remaining = remaining - dom[current].sum(axis=0)
+    while len(rest):
+        kept = _front_2d(F[rest])
+        fronts.append(np.sort(rest[kept]))
+        rest = np.delete(rest, kept)
     return fronts
 
 
 def nondominated_mask(F: np.ndarray) -> np.ndarray:
-    F = np.asarray(F, dtype=float)
-    return _dominance_matrix(F).sum(axis=0) == 0
+    mask = np.zeros(len(F), dtype=bool)
+    mask[_front_2d(F)] = True
+    return mask
 
 
 def crowding_distance(F: np.ndarray) -> np.ndarray:
@@ -295,30 +303,45 @@ def spea2_fitness(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     F = np.asarray(F, dtype=float)
     dom = _dominance_matrix(F)
     S = dom.sum(axis=1)
-    R = np.array([S[dom[:, i]].sum() for i in range(len(F))], dtype=float)
+    R = (S @ dom).astype(float)
     n = len(F)
     k = max(1, min(n - 1, int(round(math.sqrt(n)))))
     diff = F[:, None, :] - F[None, :, :]
     dist = np.sqrt(np.sum(diff ** 2, axis=-1))
     np.fill_diagonal(dist, np.inf)
-    sigma_k = np.sort(dist, axis=1)[:, k - 1]
+    sigma_k = np.partition(dist, k - 1, axis=1)[:, k - 1]
     D = 1.0 / (sigma_k + 2.0)
     return S, R, D
 
 
 def _spea2_truncate(F: np.ndarray, target: int) -> np.ndarray:
-    """Iteratively drop the member with the smallest nearest-neighbor distance."""
-    alive = list(range(len(F)))
+    """Iteratively drop the member with the smallest nearest-neighbor distance.
+
+    Each member's neighbor distances are sorted once; a removal deletes the
+    removed member's row and one copy of its distance from every other row.
+    Ties in the lexicographic order go to the lowest index.
+    """
+    alive = np.arange(len(F))
     diff = F[:, None, :] - F[None, :, :]
     dist = np.sqrt(np.sum(diff ** 2, axis=-1))
     np.fill_diagonal(dist, np.inf)
+    ordered = np.sort(dist, axis=1)
     while len(alive) > target:
-        sub = dist[np.ix_(alive, alive)]
-        ordered = np.sort(sub, axis=1)
         # first lexicographic minimum of the sorted neighbor distances
-        worst = int(np.lexsort(ordered.T[::-1])[0])
-        alive.pop(worst)
-    return np.array(alive)
+        cand = np.arange(len(alive))
+        for col in ordered.T:
+            cand = cand[col[cand] == col[cand].min()]
+            if len(cand) == 1:
+                break
+        worst = cand[0]
+        gone = np.delete(dist[alive, alive[worst]], worst)
+        alive = np.delete(alive, worst)
+        ordered = np.delete(ordered, worst, axis=0)
+        first = np.argmax(ordered >= gone[:, None], axis=1)
+        keep = np.ones(ordered.shape, dtype=bool)
+        keep[np.arange(len(alive)), first] = False
+        ordered = ordered[keep].reshape(len(alive), -1)
+    return alive
 
 
 def run_spea2(problem: MoProblem) -> ParetoArchive:
@@ -364,8 +387,9 @@ def uniform_weights(n: int) -> np.ndarray:
     return np.column_stack([a, 1.0 - a])
 
 
-def tchebycheff(f, weight, z_star) -> float:
-    return float(np.max(weight * np.abs(np.asarray(f) - z_star)))
+def tchebycheff(f, weight, z_star) -> np.ndarray:
+    """Tchebycheff value of each row of ``f`` under the matching weight row."""
+    return np.max(weight * np.abs(np.asarray(f) - z_star), axis=-1)
 
 
 _MOEAD_NEIGHBORS = 20  # T, weight-space neighborhood size
@@ -410,14 +434,14 @@ def run_moead(problem: MoProblem) -> ParetoArchive:
             z_star = np.minimum(z_star, fy)
             gen_X.append(y)
             gen_F.append(fy)
-            replaced = 0
-            for j in rng.permutation(pool):
-                if replaced >= _MOEAD_N_R:
-                    break
-                if tchebycheff(fy, W[j], z_star) <= tchebycheff(F[j], W[j], z_star):
-                    X[j] = y
-                    F[j] = fy
-                    replaced += 1
+            # Each test reads only its own F[j] and z_star is fixed for this
+            # child, so testing the whole permutation at once and taking the
+            # first hits replaces the same members as testing one by one.
+            order = rng.permutation(pool)
+            hits = order[tchebycheff(fy, W[order], z_star)
+                         <= tchebycheff(F[order], W[order], z_star)]
+            X[hits[:_MOEAD_N_R]] = y
+            F[hits[:_MOEAD_N_R]] = fy
         archive.add_many(np.array(gen_X), np.array(gen_F))
     return archive
 
@@ -434,17 +458,11 @@ def hypervolume2d(front: np.ndarray, ref_point) -> float:
         return 0.0
     # Points at or beyond the reference enclose no volume.
     F = F[np.all(F < ref, axis=1)]
-    if len(F) == 0:
-        return 0.0
-    F = F[nondominated_mask(F)]
-    order = np.lexsort((F[:, 1], F[:, 0]))
-    F = F[order]
-    hv = 0.0
-    prev_f2 = ref[1]
-    for f1, f2 in F:
-        hv += (ref[0] - f1) * (prev_f2 - f2)
-        prev_f2 = f2
-    return hv
+    F = F[_front_2d(F)]
+    # Areas summed in sequence, as a loop adds them; a duplicate adds 0.
+    f2_before = np.concatenate(([ref[1]], F[:-1, 1]))[:len(F)]
+    areas = (ref[0] - F[:, 0]) * (f2_before - F[:, 1])
+    return float(np.cumsum(np.append(0.0, areas))[-1])
 
 
 def additive_epsilon(A: np.ndarray, B: np.ndarray) -> float:

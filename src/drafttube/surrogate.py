@@ -464,10 +464,14 @@ def load_model(path) -> MlpModel:
                                  "config")
             for p, a in zip(params, stored):
                 p[...] = a
-            if doc["x_scaler"]:
-                model.x_scaler = MinMaxScaler.from_dict(doc["x_scaler"])
-            if doc["y_scaler"]:
-                model.y_scaler = MinMaxScaler.from_dict(doc["y_scaler"])
+            for key, width in (("x_scaler", model.n_inputs),
+                               ("y_scaler", model.n_outputs)):
+                if doc[key]:
+                    scaler = MinMaxScaler.from_dict(doc[key])
+                    if scaler.mins.shape != (width,) \
+                            or scaler.maxs.shape != (width,):
+                        raise ValueError(f"{key} needs {width} mins and maxs")
+                    setattr(model, key, scaler)
             model.meta = doc.get("meta", {})
         except (KeyError, TypeError, ValueError, SurrogateError) as exc:
             raise SurrogateError(f"{path}: malformed model: "

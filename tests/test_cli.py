@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from drafttube.cli import (
     main,
     read_lineage,
 )
+from drafttube.dataset import MinMaxScaler
 
 pytestmark = pytest.mark.usefixtures("workdir")
 
@@ -140,9 +142,12 @@ class TestExitCodes:
         assert main(["tune", "--config", "run.cfg", flag, value]) == 2
         assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "dropped-layer"])
+    @pytest.mark.parametrize("damage", ["truncated", "dropped-layer",
+                                        "short-x-scaler"])
     def test_malformed_model_is_3_and_named(self, capsys, damage):
         model = surrogate.MlpModel(18, surrogate.TUNED_SCENARIO_II)
+        model.x_scaler = MinMaxScaler(np.zeros(18), np.ones(18))
+        model.y_scaler = MinMaxScaler(np.zeros(2), np.ones(2))
         model.meta = {"lineage": {"scenario": "II.a"}}
         surrogate.save_model(model, "model.json")
         magic, body = open("model.json").read().split("\n", 1)
@@ -150,7 +155,10 @@ class TestExitCodes:
             body = body[:len(body) // 2]
         else:
             doc = json.loads(body)
-            del doc["weights"][1]
+            if damage == "dropped-layer":
+                del doc["weights"][1]
+            else:
+                del doc["x_scaler"]["mins"][-1]
             body = json.dumps(doc)
         open("model.json", "w").write(magic + "\n" + body)
         assert main(["optimize", "--config", "run.cfg"]) == 3
@@ -158,6 +166,22 @@ class TestExitCodes:
 
     def test_diverging_gci_is_3(self):
         assert main(["gci", "0.5", "1.0", "1.5"]) == 3
+
+    @pytest.mark.parametrize("argv,name", [
+        (["nan", "1", "1.5"], "eps_cm"), (["1.575", "0.563", "inf"], "r"),
+        (["1.575", "0.563", "1.5", "--fs", "nan"], "F_s")])
+    def test_non_finite_gci_is_3_and_named(self, capsys, argv, name):
+        assert main(["gci", *argv]) == 3
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+    def test_report_of_another_scenario_is_3(self, capsys):
+        open("front.csv", "w").write(_lineage("optimize") + DATA_HEADER
+                                     + DATA_ROW)
+        assert main(["report", "front.csv", "--config", "run.cfg",
+                     "--scenario", "I.a"]) == 3
+        assert "scenario mismatch" in capsys.readouterr().err
+        assert not os.path.exists("report.svg")
+        assert main(["report", "front.csv", "--config", "run.cfg"]) == 0
 
     @pytest.mark.parametrize("files,argv,where", [
         ({"ext.csv": DATA_HEADER},

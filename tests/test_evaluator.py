@@ -199,3 +199,11 @@ class TestGridConvergenceIndex:
             gci(1.0, 0.5, 1.5, trend="sideways")
         with pytest.raises(EvaluationError):
             gci(0.5, 1.0, 1.5)  # diverging study
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["eps_cm", "eps_mf", "r", "F_s"])
+    def test_non_finite_input_is_named(self, name, value):
+        kwargs = dict(eps_cm=1.575, eps_mf=0.563, r=1.5, F_s=1.25)
+        kwargs[name] = value
+        with pytest.raises(EvaluationError, match=f"^{name} must be finite"):
+            gci(**kwargs)

@@ -4,6 +4,8 @@ import pytest
 from drafttube.opt_multi import (
     MoProblem,
     ParetoArchive,
+    _front_2d,
+    _spea2_truncate,
     additive_epsilon,
     crowding_distance,
     hypervolume2d,
@@ -25,6 +27,12 @@ def dominates(a, b) -> bool:
     a = np.asarray(a)
     b = np.asarray(b)
     return bool(np.all(a <= b) and np.any(a < b))
+
+
+def brute_force_mask(F) -> np.ndarray:
+    """Rows of F that no row of F dominates, by pairwise comparison."""
+    return np.array([not any(dominates(g, f) for g in F) for f in F],
+                    dtype=bool)
 
 
 def zdt1(x):
@@ -63,9 +71,53 @@ class TestDominance:
     def test_mask_matches_first_front(self):
         rng = np.random.Generator(np.random.PCG64(1))
         F = rng.random((30, 2))
-        mask = nondominated_mask(F)
-        np.testing.assert_array_equal(np.flatnonzero(mask),
-                                      np.sort(nondominated_sort(F)[0]))
+        want = brute_force_mask(F)
+        np.testing.assert_array_equal(nondominated_mask(F), want)
+        np.testing.assert_array_equal(nondominated_sort(F)[0],
+                                      np.flatnonzero(want))
+
+
+SWEEP_CASES = {
+    "exact-duplicates": [[1.0, 2.0], [0.5, 3.0], [1.0, 2.0], [2.0, 1.0],
+                         [1.0, 2.0], [2.0, 2.0], [2.0, 2.0]],
+    "ties-in-f1-only": [[1.0, 3.0], [1.0, 2.0], [1.0, 4.0], [0.0, 5.0],
+                        [2.0, 1.0], [2.0, 0.5]],
+    "ties-in-f2-only": [[3.0, 1.0], [2.0, 1.0], [4.0, 1.0], [5.0, 0.0],
+                        [1.0, 2.0], [0.5, 2.0]],
+    "one-row": [[0.3, 0.7]],
+}
+
+
+class TestTwoObjectiveSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_fronts_mask_and_archive_match_brute_force(self, name):
+        F = np.array(SWEEP_CASES[name])
+        want = brute_force_mask(F)
+        np.testing.assert_array_equal(np.sort(_front_2d(F)),
+                                      np.flatnonzero(want))
+        np.testing.assert_array_equal(nondominated_mask(F), want)
+        rest = np.arange(len(F))
+        for front in nondominated_sort(F):
+            # each front in ascending index order
+            np.testing.assert_array_equal(front,
+                                          rest[brute_force_mask(F[rest])])
+            rest = np.setdiff1d(rest, front)
+        assert len(rest) == 0
+        archive = ParetoArchive()
+        archive.add_many(np.arange(len(F))[:, None], F)
+        np.testing.assert_array_equal(archive.points()[:, 0],
+                                      np.flatnonzero(want))
+
+    @pytest.mark.parametrize("F", [np.zeros((4, 3)), np.zeros(4),
+                                   np.array([[0.0, 1.0], [np.nan, 0.0]])],
+                             ids=["three-objectives", "one-dimensional",
+                                  "nan"])
+    def test_rejected_input(self, F):
+        for call in (_front_2d, nondominated_sort, nondominated_mask,
+                     lambda F: ParetoArchive().add_many(np.zeros((len(F), 1)),
+                                                        F)):
+            with pytest.raises(ValueError):
+                call(F)
 
 
 class TestCrowding:
@@ -114,11 +166,10 @@ class TestParetoArchive:
         X = np.arange(8, dtype=float).reshape(4, 2)
         F = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 3.0], [0.4, 3.5]])
         archive.add_many(X, F)
-        got = archive.front()
-        mask = nondominated_mask(F)
-        np.testing.assert_array_equal(
-            got[np.lexsort((got[:, 1], got[:, 0]))],
-            F[mask][np.lexsort((F[mask][:, 1], F[mask][:, 0]))])
+        np.testing.assert_array_equal(archive.front(),
+                                      F[brute_force_mask(F)])
+        np.testing.assert_array_equal(archive.points(),
+                                      X[brute_force_mask(F)])
 
     def test_incremental_matches_batch(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -157,6 +208,43 @@ class TestSpea2Fitness:
         np.testing.assert_array_equal(raw, [0, 2, 3])
 
 
+def loop_spea2_truncate(F, target):
+    """Reference truncation: re-sort the surviving members' neighbor
+    distances on every removal and drop the first lexicographic minimum."""
+    alive = list(range(len(F)))
+    diff = F[:, None, :] - F[None, :, :]
+    dist = np.sqrt(np.sum(diff ** 2, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    while len(alive) > target:
+        ordered = np.sort(dist[np.ix_(alive, alive)], axis=1)
+        alive.pop(int(np.lexsort(ordered.T[::-1])[0]))
+    return np.array(alive)
+
+
+class TestSpea2Truncate:
+    def test_matches_the_resorting_loop(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        for _ in range(500):
+            n = int(rng.integers(2, 60))
+            F = rng.random((n, 2))
+            if rng.random() < 0.4:  # ties and exact duplicates
+                F = np.round(F, 1)
+            for target in {1, n // 2, n - 1}:
+                np.testing.assert_array_equal(_spea2_truncate(F, target),
+                                              loop_spea2_truncate(F, target))
+
+    def test_density_uses_the_kth_nearest_neighbor(self):
+        rng = np.random.Generator(np.random.PCG64(10))
+        for n in (2, 5, 17, 40):
+            F = np.round(rng.random((n, 2)), 1)
+            dist = np.sqrt(np.sum((F[:, None] - F[None]) ** 2, axis=-1))
+            np.fill_diagonal(dist, np.inf)
+            k = max(1, min(n - 1, int(round(np.sqrt(n)))))
+            _, _, D = spea2_fitness(F)
+            np.testing.assert_array_equal(
+                D, 1.0 / (np.sort(dist, axis=1)[:, k - 1] + 2.0))
+
+
 class TestIndicators:
     def test_hypervolume_single_point(self):
         assert hypervolume2d(np.array([[0.25, 0.25]]),
@@ -169,6 +257,26 @@ class TestIndicators:
     def test_hypervolume_ignores_dominated_and_outside(self):
         front = np.array([[0.25, 0.25], [0.5, 0.5], [2.0, 0.1]])
         assert hypervolume2d(front, (1.0, 1.0)) == pytest.approx(0.5625)
+
+    def test_hypervolume_equals_the_loop_sum(self):
+        # Reference: the per-row staircase loop, adding area only where f2
+        # strictly improves. The vector sum must match it bit for bit.
+        def loop_hv(F, ref):
+            F = F[np.all(F < ref, axis=1)]
+            hv, best_f2 = 0.0, ref[1]
+            for f1, f2 in F[np.lexsort((F[:, 1], F[:, 0]))]:
+                if f2 < best_f2:
+                    hv += (ref[0] - f1) * (best_f2 - f2)
+                    best_f2 = f2
+            return hv
+
+        rng = np.random.Generator(np.random.PCG64(8))
+        for _ in range(300):
+            F = rng.random((int(rng.integers(1, 60)), 2))
+            if rng.random() < 0.4:  # ties and exact duplicates
+                F = np.round(F, 1)
+            ref = rng.uniform(0.5, 1.2, size=2)
+            assert hypervolume2d(F, ref) == loop_hv(F, ref)
 
     def test_additive_epsilon_identity_and_shift(self):
         A = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
@@ -183,6 +291,18 @@ class TestIndicators:
                           np.array([0.0, 0.0]))
         assert val == pytest.approx(0.3)
 
+    def test_tchebycheff_rows_match_single_rows(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        W = uniform_weights(12)
+        F = np.round(rng.random((12, 2)), 2)
+        z_star = F.min(axis=0)
+        rows = tchebycheff(F, W, z_star)  # row j of F under weight j
+        one = tchebycheff(F[0], W, z_star)  # one point under every weight
+        assert rows.shape == one.shape == (12,)
+        for j in range(12):
+            assert rows[j] == float(np.max(W[j] * np.abs(F[j] - z_star)))
+            assert one[j] == float(np.max(W[j] * np.abs(F[0] - z_star)))
+
 
 @pytest.mark.parametrize("runner", [run_nsga2, run_spea2, run_moead])
 class TestEvolutionSmoke:
@@ -193,7 +313,7 @@ class TestEvolutionSmoke:
         hv = hypervolume2d(F, (1.0, 1.0))
         assert hv > 0.5
         # The archive invariant: mutually non-dominated.
-        assert np.all(nondominated_mask(F))
+        assert np.all(brute_force_mask(F))
 
     def test_seed_reproducible(self, runner):
         a = runner(zdt1_problem(generations=10, seed=2)).front()
@@ -205,3 +325,90 @@ class TestEvolutionSmoke:
         archive = runner(problem)
         X = archive.points()
         assert np.all(X >= problem.lb) and np.all(X <= problem.ub)
+
+
+# Archives of short ZDT1 runs (8 variables, population 24, 20 generations),
+# pinned so that any change to the random stream or to a selection decision
+# fails.
+PINNED_ZDT1 = {
+    "nsga2": (1, [
+        (0.00750444186714172, 1.6532726225419438),
+        (0.12377603697137482, 1.2533419716853775),
+        (0.3064995997651499, 1.1273933501743556),
+        (3.074091581834956e-05, 1.7974089449790056),
+        (0.05457040391198742, 1.5024217464682916),
+        (0.0006270357480717761, 1.7353708754434916),
+        (0.018726960323845722, 1.5497214008934228),
+        (0.01865319888425046, 1.553739989547855),
+        (0.3084025686714875, 1.050229638854451),
+        (0.129009310868776, 1.2398829179246573),
+        (0.6106568793426767, 0.6742477547359118),
+        (0.011661747568949388, 1.5823679423919927),
+        (0.5854190478549969, 0.7925936065464424),
+        (0.3096673359072049, 0.901602042682307),
+        (0.11774926183997261, 1.2851906789659788),
+        (0.019086851252055108, 1.5469926614160812),
+        (0.0001157814726189376, 1.7914610588749154),
+        (0.11593062965051426, 1.3443792287189962),
+        (0.0036728697455597065, 1.7338880035638073),
+    ]),
+    "spea2": (2, [
+        (0.4814509906142493, 0.542241406288639),
+        (0.47634671774029724, 0.5474715301243532),
+        (0.031659665504121415, 1.2611482232059805),
+        (0.475875786113019, 0.5822135195749887),
+        (0.49382110711960736, 0.532245456723889),
+        (0.031659665504121415, 1.2611482232059805),
+        (0.38589438227584344, 0.6165097995061677),
+        (0.15091140570169295, 0.9497839976008557),
+        (0.3071736830185703, 0.6635213325777051),
+        (0.12864409873120863, 1.0600559705676298),
+        (0.17931385253970328, 0.8661535223490976),
+        (4.1759931473650536e-05, 1.3029623703246582),
+        (0.19747104806653304, 0.7741039301307915),
+        (0.4759508235016267, 0.5572965438511278),
+    ]),
+    "moead": (3, [
+        (0.5623966065323855, 1.2698562221409115),
+        (0.2167898687602658, 2.051131412212784),
+        (0.01817834923619044, 3.1607723092222657),
+        (0.2120390267615841, 2.1476102717334906),
+        (0.3818821570628498, 1.530508876676216),
+        (0.7634406316099815, 0.9320825919406843),
+        (0.7237119876425969, 1.0252082354437326),
+        (0.4441169223373763, 1.4811166531753588),
+        (0.14136269935610035, 2.2453700811797246),
+        (0.5823731141508758, 1.264145715344066),
+        (0.4826040821169889, 1.4329937446946934),
+        (0.522435402673953, 1.3337078452476687),
+        (0.28116023200871065, 1.7745072002076367),
+        (0.6290984926065107, 1.1241780878681933),
+        (0.048288378003285726, 2.7008241869361767),
+        (0.48011712607786566, 1.4550269504208184),
+        (0.8395737985356526, 0.7604180560741555),
+        (0.25861783509699204, 2.018626332059442),
+        (0.7969591928873578, 0.8895514267713008),
+        (0.4872039366914789, 1.3892894034770171),
+        (0.5866438221985317, 1.222600252949592),
+        (0.5979150206543911, 1.1286787092782282),
+        (1.0, 0.5894922208699832),
+        (0.3388208014281974, 1.6301370755329276),
+        (0.6565931685251978, 1.0416862146058081),
+        (0.13983313471409456, 2.3484512590219113),
+        (0.04198762426267369, 2.8835997776912157),
+        (0.08219669982200128, 2.6001561863848357),
+        (0.0, 3.2300714164459823),
+        (0.8483800028947225, 0.7599307903314698),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ZDT1))
+def test_short_zdt1_archive_is_pinned(name):
+    runner = {"nsga2": run_nsga2, "spea2": run_spea2, "moead": run_moead}[name]
+    seed, front = PINNED_ZDT1[name]
+    problem = MoProblem(zdt1, np.zeros(8), np.ones(8), generations=20,
+                        seed=seed, pop_size=24)
+    archive = runner(problem)
+    assert len(archive) == len(front)
+    np.testing.assert_allclose(archive.front(), front, rtol=1e-12, atol=0)

@@ -297,10 +297,14 @@ class TestPersistence:
 
     @pytest.mark.parametrize("damage", ["truncated", "dropped-layer",
                                         "missing-key", "missing-config-key",
-                                        "bad-shape"])
+                                        "bad-shape", "short-x-scaler",
+                                        "short-y-scaler"])
     def test_malformed_file_names_the_path(self, tmp_path, damage):
         path = tmp_path / "model.json"
-        save_model(MlpModel(4, MlpConfig((8, 6)), seed=0), path)
+        model = MlpModel(4, MlpConfig((8, 6)), seed=0)
+        model.x_scaler = MinMaxScaler(np.zeros(4), np.ones(4))
+        model.y_scaler = MinMaxScaler(np.zeros(2), np.ones(2))
+        save_model(model, path)
         magic, body = path.read_text().split("\n", 1)
         doc = json.loads(body)
         if damage == "truncated":
@@ -312,6 +316,10 @@ class TestPersistence:
                 del doc["n_outputs"]
             elif damage == "missing-config-key":
                 del doc["config"]["activation"]
+            elif damage == "short-x-scaler":
+                del doc["x_scaler"]["mins"][-1]
+            elif damage == "short-y-scaler":
+                del doc["y_scaler"]["maxs"][-1]
             else:
                 doc["biases"][0].append(0.0)
             body = json.dumps(doc)

@@ -127,9 +127,15 @@ def effective_config(args) -> dict:
         raise UsageError("pop_size must be >= 3 for moead")
     if not 0.5 <= cfg["train_ratio"] <= 0.95:
         raise UsageError("train_ratio must be in [0.5, 0.95]")
+    for key in ("weight_cp", "weight_cd", "lof_threshold"):
+        if not np.isfinite(cfg[key]):
+            raise UsageError(f"{key} must be finite")
+    if cfg["lof_threshold"] <= 0:
+        raise UsageError("lof_threshold must be > 0")
     if cfg["weight_cp"] < 0 or cfg["weight_cd"] < 0 \
-            or cfg["weight_cp"] + cfg["weight_cd"] <= 0:
-        raise UsageError("weights must be non-negative with a positive sum")
+            or not 0 < cfg["weight_cp"] + cfg["weight_cd"] < np.inf:
+        raise UsageError("weights must be non-negative with a finite "
+                         "positive sum")
     return cfg
 
 
@@ -257,7 +263,7 @@ def _prepare_dataset(path, cfg) -> ds.Dataset:
                                   seed=cfg["seed"], k_neighbors=cfg["lof_k"],
                                   lof_threshold=cfg["lof_threshold"])
     except ds.DatasetError as exc:
-        raise DataError(str(exc)) from None
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_train(args, cfg) -> int:

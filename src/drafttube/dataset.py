@@ -21,6 +21,8 @@ __all__ = [
 ]
 
 _EPS_DIST = 1e-12
+# LOF holds about this many pairwise distances (one row block) at a time.
+_BLOCK_ENTRIES = 1 << 20
 
 
 class DatasetError(ValueError):
@@ -37,40 +39,39 @@ def lof_scores(X: np.ndarray, k_neighbors: int) -> np.ndarray:
     k-distance, reachability distance and local reachability density follow
     the textbook definitions; coincident points are kept finite via a floor
     on distances. Neighbor sets include all points within the k-distance
-    (ties included).
+    (ties included); distances are built one block of rows at a time.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
     if not 0 < k_neighbors < n:
-        raise DatasetError("k_neighbors must be in [1, n-1]")
+        raise DatasetError(f"k_neighbors = {k_neighbors} is not in [1, n-1] "
+                           f"for n = {n} rows")
     sq = np.sum(X ** 2, axis=1)
-    dist2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
-    dist = np.sqrt(dist2)
-    np.fill_diagonal(dist, np.inf)
-    dist = np.maximum(dist, _EPS_DIST)
-    sorted_dist = np.sort(dist, axis=1)
-    k_dist = sorted_dist[:, k_neighbors - 1]
-    # Neighbors: everything within the k-distance, ties included.
-    neigh = [np.flatnonzero(dist[i] <= k_dist[i] + _EPS_DIST) for i in range(n)]
-    lrd = np.empty(n)
-    for i in range(n):
-        reach = np.maximum(k_dist[neigh[i]], dist[i, neigh[i]])
-        lrd[i] = 1.0 / np.mean(reach)
-    lof = np.empty(n)
-    for i in range(n):
-        lof[i] = np.mean(lrd[neigh[i]]) / lrd[i]
-    return lof
+    height = max(1, _BLOCK_ENTRIES // n)
+    k_dist, pairs = np.empty(n), []
+    for lo in range(0, n, height):
+        blk = slice(lo, lo + height)
+        dist = sq[blk, None] + sq[None, :] - 2.0 * (X[blk] @ X.T)
+        np.fill_diagonal(dist[:, lo:], np.inf)
+        dist = np.maximum(np.sqrt(np.maximum(dist, 0.0)), _EPS_DIST)
+        k_dist[blk] = np.partition(dist, k_neighbors - 1)[:, k_neighbors - 1]
+        # Neighbors: everything within the k-distance, ties included.
+        r, c = np.nonzero(dist <= k_dist[blk, None] + _EPS_DIST)
+        pairs.append((r + lo, c, dist[r, c]))
+    row, col, dist = (np.concatenate(p) for p in zip(*pairs))
+    count = np.bincount(row, minlength=n)
+    lrd = count / np.bincount(row, np.maximum(k_dist[col], dist), n)
+    return np.bincount(row, lrd[col], n) / count / lrd
 
 
-def lof_filter(X: np.ndarray, Y: np.ndarray | None = None,
-               k_neighbors: int = 20, threshold: float = 1.5) -> np.ndarray:
+def lof_filter(X: np.ndarray, Y: np.ndarray, k_neighbors: int = 20,
+               threshold: float = 1.5) -> np.ndarray:
     """Keep-mask over rows: LOF computed on the standardized [X | Y] matrix.
 
     Rows with LOF above ``threshold`` are dropped. Features and targets are
     concatenated and standardized per column so every column weighs equally.
     """
-    X = np.asarray(X, dtype=float)
-    M = X if Y is None else np.hstack([X, np.asarray(Y, dtype=float)])
+    M = np.hstack([np.asarray(X, dtype=float), np.asarray(Y, dtype=float)])
     mu = M.mean(axis=0)
     sd = M.std(axis=0)
     sd[sd == 0] = 1.0

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,36 @@ class TestExitCodes:
         open("model.json", "w").write(magic + "\n" + body)
         assert main(["optimize", "--config", "run.cfg"]) == 3
         assert "model.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,key", [
+        (["decide", "--weight-cp", "nan"], "weight_cp must be finite"),
+        (["decide", "--weight-cp", "inf"], "weight_cp must be finite"),
+        (["decide", "--weight-cd=-inf"], "weight_cd must be finite"),
+        (["decide", "--weight-cp", "1e308", "--weight-cd", "1e308"],
+         "finite positive sum"),
+        (["train", "--lof-threshold", "nan"], "lof_threshold must be finite"),
+        (["train", "--lof-threshold", "inf"], "lof_threshold must be finite"),
+        (["train", "--lof-threshold", "-1"], "lof_threshold must be > 0"),
+        (["train", "--lof-threshold", "0"], "lof_threshold must be > 0")])
+    def test_bad_float_setting_is_2_and_named(self, capsys, argv, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--config", "run.cfg"]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_weight_in_config_file_is_2(self, capsys):
+        with open("run.cfg", "a") as fh:
+            fh.write("weight_cd = nan\n")
+        assert main(["decide", "--config", "run.cfg"]) == 2
+        assert "weight_cd must be finite" in capsys.readouterr().err
+
+    def test_lof_k_beyond_the_rows_is_3_and_named(self, capsys):
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        assert main(["evaluate", "--config", "run.cfg"]) == 0
+        assert main(["train", "--config", "run.cfg", "--lof-k", "200"]) == 3
+        err = capsys.readouterr().err
+        assert "dataset.csv" in err
+        assert "k_neighbors = 200" in err and "n = 80 rows" in err
 
     def test_diverging_gci_is_3(self):
         assert main(["gci", "0.5", "1.0", "1.5"]) == 3

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from drafttube import dataset
 from drafttube.dataset import (
     Dataset,
     DatasetError,
@@ -10,6 +13,16 @@ from drafttube.dataset import (
     lof_scores,
     split,
 )
+from test_acceptance import _brute_lof
+
+
+def grid_with_duplicates(seed=4):
+    """45 rows: a 5x5 grid of step 0.1 (tied distances), 19 exact copies of
+    grid points and one outlier, shuffled so ties and copies cross blocks."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    grid = 0.1 * np.array([(a, b) for a in range(5) for b in range(5)]) + 0.3
+    X = np.vstack([grid, grid[rng.integers(0, 25, size=19)], [[1.5, 1.2]]])
+    return X[rng.permutation(len(X))]
 
 
 def blob_with_outlier(n=80, d=4, seed=0):
@@ -45,6 +58,27 @@ class TestLof:
             lof_scores(X, k_neighbors=5)
         with pytest.raises(DatasetError):
             lof_scores(X, k_neighbors=0)
+
+    @pytest.mark.parametrize("height", [1, 7, 44, 45])
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_row_blocks_match_brute_force(self, monkeypatch, height, k):
+        # 45 rows in blocks of 1, of 7 (the last one ragged: 3 rows), of 44
+        # and 1, and in one block.
+        X = grid_with_duplicates()
+        monkeypatch.setattr(dataset, "_BLOCK_ENTRIES", height * len(X))
+        np.testing.assert_allclose(lof_scores(X, k), _brute_lof(X, k),
+                                   rtol=1e-10)
+
+    def test_memory_stays_below_a_quarter_distance_matrix(self):
+        n = 6000
+        X = np.random.Generator(np.random.PCG64(2)).normal(size=(n, 20))
+        tracemalloc.start()
+        try:
+            lof_scores(X, k_neighbors=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     def test_filter_drops_the_outlier_only(self):
         X = blob_with_outlier()

@@ -57,8 +57,11 @@ def lof_scores(X: np.ndarray, k_neighbors: int) -> np.ndarray:
         k_dist[blk] = np.partition(dist, k_neighbors - 1)[:, k_neighbors - 1]
         # Neighbors: everything within the k-distance, ties included.
         r, c = np.nonzero(dist <= k_dist[blk, None] + _EPS_DIST)
-        pairs.append((r + lo, c, dist[r, c]))
+        pairs.append(((r + lo).astype(np.int32), c.astype(np.int32),
+                      dist[r, c]))
+        del dist, r, c
     row, col, dist = (np.concatenate(p) for p in zip(*pairs))
+    del pairs  # coincident rows give up to n * (n - 1) pairs: keep one copy
     count = np.bincount(row, minlength=n)
     lrd = count / np.bincount(row, np.maximum(k_dist[col], dist), n)
     return np.bincount(row, lrd[col], n) / count / lrd

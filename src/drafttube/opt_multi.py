@@ -159,10 +159,9 @@ def crowding_distance(F: np.ndarray) -> np.ndarray:
 # Variation operators
 # ---------------------------------------------------------------------------
 
-def sbx(p1, p2, lb, ub, eta: float = 20.0, p_c: float = 0.9,
-        rng: np.random.Generator | None = None):
+def sbx(p1, p2, lb, ub, eta: float = 20.0, p_c: float = 0.9, *,
+        rng: np.random.Generator):
     """Bounded simulated binary crossover returning two children."""
-    rng = rng or np.random.Generator(np.random.PCG64(0))
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     c1, c2 = p1.copy(), p2.copy()
@@ -193,10 +192,9 @@ def sbx(p1, p2, lb, ub, eta: float = 20.0, p_c: float = 0.9,
     return c1, c2
 
 
-def polynomial_mutation(x, lb, ub, eta: float = 20.0, p_m: float = 0.1,
-                        rng: np.random.Generator | None = None):
+def polynomial_mutation(x, lb, ub, eta: float = 20.0, p_m: float = 0.1, *,
+                        rng: np.random.Generator):
     """Bounded polynomial mutation applied per variable with probability p_m."""
-    rng = rng or np.random.Generator(np.random.PCG64(0))
     x = np.asarray(x, dtype=float).copy()
     for j in range(len(x)):
         if rng.random() >= p_m:

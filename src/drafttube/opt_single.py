@@ -7,7 +7,6 @@ the box and reports a monotone best-so-far trace per generation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +61,17 @@ def _eval_all(objective, X) -> np.ndarray:
 # PSO
 # ---------------------------------------------------------------------------
 
-def linear_inertia(iteration: int, total: int, w_start: float = 0.9,
-                   w_end: float = 0.4) -> float:
-    """PSO inertia schedule: linear decrease over the run."""
-    if total <= 1:
-        return w_end
-    return w_start + (w_end - w_start) * iteration / (total - 1)
-
-
 _PSO_PARTICLES = 20
 _PSO_C1 = _PSO_C2 = 2.0
+_PSO_W_START, _PSO_W_END = 0.9, 0.4  # inertia at the first and last generation
 _PSO_V_MAX = 0.2  # velocity clamp as a fraction of the box span
+
+
+def linear_inertia(iteration: int, total: int) -> float:
+    """PSO inertia schedule: linear decrease over the run."""
+    if total <= 1:
+        return _PSO_W_END
+    return _PSO_W_START + (_PSO_W_END - _PSO_W_START) * iteration / (total - 1)
 
 
 def run_pso(problem: SoProblem) -> SoResult:
@@ -137,6 +136,13 @@ def _map_into_box(X, lb, ub):
     return X
 
 
+def _random_coordinates(rng, m: int, d: int) -> np.ndarray:
+    """(m, d) mask: each row marks a uniform random subset of 1..d of the d
+    coordinates, its size uniform over 1..d."""
+    sizes = rng.integers(1, d + 1, size=m)
+    return rng.permuted(np.arange(d) < sizes[:, None], axis=1)
+
+
 def run_fwa(problem: SoProblem) -> SoResult:
     """Fireworks algorithm: rank-dependent explosion amplitudes, Gaussian
     sparks and distance-based roulette selection keeping the best, with
@@ -159,24 +165,17 @@ def run_fwa(problem: SoProblem) -> SoResult:
         amps = (F - f_min + eps) / (np.sum(F - f_min) + eps)
         counts_raw = _FWA_M1 * (f_max - F + eps) / (np.sum(f_max - F) + eps)
         counts = np.clip(np.round(counts_raw), *_FWA_SPARKS).astype(int)
-        sparks = []
-        for i in range(n):
-            for _ in range(counts[i]):
-                s = X[i].copy()
-                n_dims = int(rng.integers(1, d + 1))
-                dims = rng.choice(d, size=n_dims, replace=False)
-                h = float(rng.uniform(-1.0, 1.0))
-                s[dims] += amps[i] * a_hat[dims] * h
-                sparks.append(s)
-        for _ in range(_FWA_M2):
-            i = int(rng.integers(n))
-            s = X[i].copy()
-            n_dims = int(rng.integers(1, d + 1))
-            dims = rng.choice(d, size=n_dims, replace=False)
-            g = float(rng.normal(1.0, 1.0))
-            s[dims] = s[dims] * g
-            sparks.append(s)
-        cand = _map_into_box(np.vstack([X] + [np.array(sparks)]), lb, ub)
+        # Explosion sparks: counts[i] of them around firework i.
+        i = np.repeat(np.arange(n), counts)
+        shift = (amps[i] * rng.uniform(-1.0, 1.0, len(i)))[:, None] * a_hat
+        explosion = np.where(_random_coordinates(rng, len(i), d),
+                             X[i] + shift, X[i])
+        # Gaussian sparks: each scales a random firework's chosen coordinates.
+        i = rng.integers(n, size=_FWA_M2)
+        scale = rng.normal(1.0, 1.0, _FWA_M2)[:, None]
+        gaussian = np.where(_random_coordinates(rng, _FWA_M2, d),
+                            X[i] * scale, X[i])
+        cand = _map_into_box(np.vstack([X, explosion, gaussian]), lb, ub)
         f_cand = np.concatenate([F, _eval_all(problem.objective, cand[n:])])
         n_evals += len(cand) - n
         b = int(np.argmin(f_cand))
@@ -215,6 +214,29 @@ def lshade_population_schedule(gen: int, total: int, n_init: int,
     return int(round(n_init + (n_min - n_init) * gen / total))
 
 
+def _other_member(rng, n: int) -> np.ndarray:
+    """Per member i of n, an index drawn uniformly from the n - 1 others."""
+    return (np.arange(n) + rng.integers(1, n, size=n)) % n
+
+
+def _third_member(rng, r1: np.ndarray, pool: int) -> np.ndarray:
+    """Per member i, an index drawn uniformly from [0, pool) without i and
+    r1[i] (r1[i] != i): one draw from pool - 2 values, shifted past both."""
+    i = np.arange(len(r1))
+    r2 = rng.integers(pool - 2, size=len(r1))
+    r2 += r2 >= np.minimum(i, r1)
+    r2 += r2 >= np.maximum(i, r1)
+    return r2
+
+
+def _positive_cauchy(rng, loc: np.ndarray) -> np.ndarray:
+    """Cauchy(loc, 0.1) draws, redrawn where not positive, capped at 1."""
+    f = loc + 0.1 * rng.standard_cauchy(len(loc))
+    while np.any(redraw := f <= 0.0):
+        f[redraw] = loc[redraw] + 0.1 * rng.standard_cauchy(redraw.sum())
+    return np.minimum(f, 1.0)
+
+
 def run_lshade(problem: SoProblem) -> SoResult:
     """Success-history adaptive DE with linear population size reduction.
 
@@ -228,7 +250,7 @@ def run_lshade(problem: SoProblem) -> SoResult:
     X = lb + rng.random((N, d)) * (ub - lb)
     F_pop = _eval_all(problem.objective, X)
     n_evals = N
-    archive = []
+    archive = np.empty((0, d))
     M_CR = np.full(_LSHADE_HISTORY, 0.5)
     M_F = np.full(_LSHADE_HISTORY, 0.5)
     hist_k = 0
@@ -236,74 +258,49 @@ def run_lshade(problem: SoProblem) -> SoResult:
     best_x, best_f = X[b].copy(), float(F_pop[b])
     trace = [best_f]
     for gen in range(1, problem.budget + 1):
-        S_CR, S_F, S_w = [], [], []
-        order = np.argsort(F_pop)
         n_pbest = max(2, int(round(_LSHADE_P_BEST * N)))
-        U = np.empty_like(X)
-        CRs = np.empty(N)
-        Fs = np.empty(N)
-        for i in range(N):
-            r = int(rng.integers(_LSHADE_HISTORY))
-            cr = float(np.clip(rng.normal(M_CR[r], 0.1), 0.0, 1.0))
-            f = 0.0
-            while f <= 0.0:
-                f = M_F[r] + 0.1 * math.tan(math.pi * (rng.random() - 0.5))
-            f = min(f, 1.0)
-            CRs[i], Fs[i] = cr, f
-            pb = X[order[int(rng.integers(n_pbest))]]
-            r1 = i
-            while r1 == i:
-                r1 = int(rng.integers(N))
-            pool = N + len(archive)
-            r2 = i
-            while r2 == i or r2 == r1:
-                r2 = int(rng.integers(pool))
-            x_r2 = X[r2] if r2 < N else archive[r2 - N]
-            v = X[i] + f * (pb - X[i]) + f * (X[r1] - x_r2)
-            # midpoint-to-bound repair
-            v = np.where(v < lb, (lb + X[i]) / 2.0, v)
-            v = np.where(v > ub, (ub + X[i]) / 2.0, v)
-            cross = rng.random(d) < cr
-            cross[int(rng.integers(d))] = True
-            U[i] = np.where(cross, v, X[i])
+        slot = rng.integers(_LSHADE_HISTORY, size=N)
+        CR = np.clip(rng.normal(M_CR[slot], 0.1), 0.0, 1.0)
+        Fs = _positive_cauchy(rng, M_F[slot])
+        pbest = X[np.argsort(F_pop)[rng.integers(n_pbest, size=N)]]
+        r1 = _other_member(rng, N)
+        r2 = _third_member(rng, r1, N + len(archive))
+        x_r2 = np.vstack([X, archive])[r2]
+        V = X + Fs[:, None] * (pbest - X + X[r1] - x_r2)
+        # midpoint-to-bound repair
+        V = np.where(V < lb, (lb + X) / 2.0, V)
+        V = np.where(V > ub, (ub + X) / 2.0, V)
+        cross = rng.random((N, d)) < CR[:, None]
+        cross[np.arange(N), rng.integers(d, size=N)] = True
+        U = np.where(cross, V, X)
         F_new = _eval_all(problem.objective, U)
         n_evals += N
-        for i in range(N):
-            if F_new[i] <= F_pop[i]:
-                if F_new[i] < F_pop[i]:
-                    archive.append(X[i].copy())
-                    S_CR.append(CRs[i])
-                    S_F.append(Fs[i])
-                    S_w.append(F_pop[i] - F_new[i])
-                X[i] = U[i]
-                F_pop[i] = F_new[i]
-        if S_CR:
-            w = np.array(S_w)
+        success = F_new < F_pop
+        if success.any():
+            archive = np.vstack([archive, X[success]])
+            w = F_pop[success] - F_new[success]
             w = w / w.sum()
-            scr = np.array(S_CR)
-            sf = np.array(S_F)
+            scr, sf = CR[success], Fs[success]
             M_CR[hist_k] = (np.sum(w * scr ** 2) / np.sum(w * scr)
                             if np.sum(w * scr) > 0 else 0.0)
             M_F[hist_k] = np.sum(w * sf ** 2) / np.sum(w * sf)
             hist_k = (hist_k + 1) % _LSHADE_HISTORY
-        # trim archive to r_arc * N
-        max_arc = int(round(_LSHADE_ARCHIVE_RATIO * N))
-        while len(archive) > max_arc:
-            archive.pop(int(rng.integers(len(archive))))
+        replace = F_new <= F_pop
+        X[replace] = U[replace]
+        F_pop[replace] = F_new[replace]
         b = int(np.argmin(F_pop))
         if F_pop[b] < best_f:
             best_f = float(F_pop[b])
             best_x = X[b].copy()
         trace.append(best_f)
         # linear population size reduction
-        N_next = lshade_population_schedule(gen, problem.budget,
-                                            _LSHADE_N_INIT, _LSHADE_N_MIN)
-        if N_next < N:
-            keep = np.argsort(F_pop)[:N_next]
-            X = X[keep]
-            F_pop = F_pop[keep]
-            N = N_next
-            max_arc = int(round(_LSHADE_ARCHIVE_RATIO * N))
-            while len(archive) > max_arc:
-                archive.pop(int(rng.integers(len(archive))))
+        N = lshade_population_schedule(gen, problem.budget,
+                                       _LSHADE_N_INIT, _LSHADE_N_MIN)
+        keep = np.argsort(F_pop)[:N]
+        X, F_pop = X[keep], F_pop[keep]
+        # trim the archive to r_arc * N, dropping rows uniformly at random
+        excess = len(archive) - int(round(_LSHADE_ARCHIVE_RATIO * N))
+        if excess > 0:
+            archive = np.delete(archive, rng.choice(len(archive), excess,
+                                                    replace=False), axis=0)
     return SoResult(best_x, best_f, np.array(trace), n_evals)

@@ -80,6 +80,17 @@ class TestLof:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
 
+    def test_memory_on_coincident_rows(self):
+        # Every row neighbours every other one: n * (n - 1) pairs, about
+        # 4 million here, held once as int32 indices and float distances.
+        tracemalloc.start()
+        try:
+            lof_scores(np.zeros((2000, 20)), k_neighbors=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2 ** 20
+
     def test_filter_drops_the_outlier_only(self):
         X = blob_with_outlier()
         Y = np.zeros((len(X), 2))

@@ -3,6 +3,10 @@ import pytest
 
 from drafttube.opt_single import (
     SoProblem,
+    _other_member,
+    _positive_cauchy,
+    _random_coordinates,
+    _third_member,
     linear_inertia,
     lshade_population_schedule,
     run_fwa,
@@ -52,6 +56,57 @@ class TestHelpers:
         assert sizes[-1] == n_min
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert min(sizes) >= n_min
+
+
+class TestDraws:
+    """The population-wide random draws of L-SHADE and FWA."""
+
+    def test_other_member_is_uniform_over_the_others(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        n, reps = 5, 20000
+        r1 = np.array([_other_member(rng, n) for _ in range(reps)])
+        counts = np.zeros((n, n))
+        np.add.at(counts, (np.tile(np.arange(n), reps), r1.ravel()), 1)
+        assert np.all(np.diag(counts) == 0)
+        off = counts[~np.eye(n, dtype=bool)]
+        np.testing.assert_allclose(off, reps / (n - 1), rtol=0.1)
+
+    def test_third_member_is_uniform_over_pool_without_i_and_r1(self):
+        rng = np.random.Generator(np.random.PCG64(6))
+        n, pool, reps = 5, 9, 20000
+        i = np.arange(n)
+        counts = np.zeros((n, n, pool))
+        for _ in range(reps):
+            r1 = _other_member(rng, n)
+            np.add.at(counts, (i, r1, _third_member(rng, r1, pool)), 1)
+        assert np.all(counts[i, i, :] == 0)
+        assert np.all(counts[i, :, i] == 0)
+        assert np.all(counts[i[:, None], i, i] == 0)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                allowed = np.delete(counts[a, b], [min(a, b), max(a, b)])
+                np.testing.assert_allclose(
+                    allowed, counts[a, b].sum() / (pool - 2), rtol=0.2)
+
+    def test_random_coordinates_are_uniform_subsets(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        m, d = 60000, 6
+        mask = _random_coordinates(rng, m, d)
+        sizes = mask.sum(axis=1)
+        assert sizes.min() >= 1 and sizes.max() <= d
+        np.testing.assert_allclose(np.bincount(sizes, minlength=d + 1)[1:],
+                                   m / d, rtol=0.05)
+        # A coordinate is marked with probability E[size] / d.
+        np.testing.assert_allclose(mask.sum(axis=0), m * (d + 1) / (2 * d),
+                                   rtol=0.03)
+
+    def test_positive_cauchy_lies_in_zero_one(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        # Near loc 0 about half the first draws are not positive.
+        f = _positive_cauchy(rng, np.full(10000, 0.01))
+        assert np.all(f > 0.0) and np.all(f <= 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))

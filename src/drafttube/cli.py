@@ -349,16 +349,16 @@ def cmd_optimize(args, cfg) -> int:
     comment = lineage_comment("optimize", cfg) + f" optimizer={name}"
     if name in SO_OPTIMIZERS:
         # Single objective: maximize predicted pressure recovery.
-        def objective(x):
-            return -float(model.predict(x)[0])
-
-        problem = opt_single.SoProblem(objective, lb, ub,
-                                       budget=cfg["generations"],
+        problem = opt_single.SoProblem(lambda X: -model.predict(X)[:, 0],
+                                       lb, ub, budget=cfg["generations"],
                                        seed=cfg["seed"])
         runner = {"pso": opt_single.run_pso, "fwa": opt_single.run_fwa,
                   "lshade": opt_single.run_lshade}[name]
         result = runner(problem)
         pred = model.predict(result.best_x)
+        # The cp the search saw: a one-row predict may differ in the last
+        # bits from the same row predicted within its population.
+        pred[0] = -result.best_f
         evaluator.write_dataset_csv(args.out, result.best_x[None, :],
                                     pred[None, :], comment)
         trace_path = args.trace_out or str(

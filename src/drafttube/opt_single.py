@@ -1,8 +1,9 @@
 """Single-objective optimizers over box-bounded continuous vectors.
 
 PSO, the fireworks algorithm and L-SHADE, all minimizing; maximization is
-realized by negating the objective. Every algorithm keeps all iterates inside
-the box and reports a monotone best-so-far trace per generation.
+realized by negating the objective, which maps an (n, d) population to (n,)
+values. Every algorithm keeps all iterates inside the box, evaluates one
+population per generation and reports a monotone best-so-far trace.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SoProblem:
-    objective: callable
+    objective: callable  # (n, d) population -> (n,) values
     lb: np.ndarray
     ub: np.ndarray
     budget: int = 500  # generations
@@ -53,8 +54,31 @@ class SoResult:
     n_evals: int
 
 
-def _eval_all(objective, X) -> np.ndarray:
-    return np.array([float(objective(x)) for x in X])
+class _Search:
+    """Evaluates populations and keeps the best point, the best-so-far trace
+    (one entry per population) and the count of evaluated rows."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.best_x, self.best_f = None, np.inf
+        self.trace = []
+        self.n_evals = 0
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        F = np.asarray(self.objective(X), dtype=float)
+        if F.shape != (len(X),):
+            raise ValueError(f"objective returned shape {F.shape} for a "
+                             f"population of {len(X)}; expected ({len(X)},)")
+        self.n_evals += len(X)
+        b = int(np.argmin(F))
+        if self.best_x is None or F[b] < self.best_f:
+            self.best_x, self.best_f = X[b].copy(), float(F[b])
+        self.trace.append(self.best_f)
+        return F
+
+    def result(self) -> SoResult:
+        return SoResult(self.best_x, self.best_f, np.array(self.trace),
+                        self.n_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -84,35 +108,26 @@ def run_pso(problem: SoProblem) -> SoResult:
     v_max = _PSO_V_MAX * span
     X = lb + rng.random((n, d)) * span
     V = (rng.random((n, d)) - 0.5) * 2.0 * v_max
-    F = _eval_all(problem.objective, X)
-    n_evals = n
+    search = _Search(problem.objective)
+    F = search(X)
     pbest_x, pbest_f = X.copy(), F.copy()
-    g = int(np.argmin(F))
-    gbest_x, gbest_f = X[g].copy(), float(F[g])
-    trace = [gbest_f]
     for it in range(problem.budget):
         w = linear_inertia(it, problem.budget)
         r1 = rng.random((n, d))
         r2 = rng.random((n, d))
         V = (w * V + _PSO_C1 * r1 * (pbest_x - X)
-             + _PSO_C2 * r2 * (gbest_x - X))
+             + _PSO_C2 * r2 * (search.best_x - X))
         V = np.clip(V, -v_max, v_max)
         X = X + V
         low = X < lb
         high = X > ub
         X = np.clip(X, lb, ub)
         V = np.where(low | high, -V, V)
-        F = _eval_all(problem.objective, X)
-        n_evals += n
+        F = search(X)
         improved = F < pbest_f
         pbest_x[improved] = X[improved]
         pbest_f[improved] = F[improved]
-        g = int(np.argmin(pbest_f))
-        if pbest_f[g] < gbest_f:
-            gbest_f = float(pbest_f[g])
-            gbest_x = pbest_x[g].copy()
-        trace.append(gbest_f)
-    return SoResult(gbest_x, gbest_f, np.array(trace), n_evals)
+    return search.result()
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +168,8 @@ def run_fwa(problem: SoProblem) -> SoResult:
     eps = 1e-12
     n = _FWA_FIREWORKS
     X = lb + rng.random((n, d)) * span
-    F = _eval_all(problem.objective, X)
-    n_evals = n
-    best_i = int(np.argmin(F))
-    best_x, best_f = X[best_i].copy(), float(F[best_i])
-    trace = [best_f]
+    search = _Search(problem.objective)
+    F = search(X)
     a_hat = _FWA_AMPLITUDE * span
     for _ in range(problem.budget):
         f_min, f_max = F.min(), F.max()
@@ -176,13 +188,9 @@ def run_fwa(problem: SoProblem) -> SoResult:
         gaussian = np.where(_random_coordinates(rng, _FWA_M2, d),
                             X[i] * scale, X[i])
         cand = _map_into_box(np.vstack([X, explosion, gaussian]), lb, ub)
-        f_cand = np.concatenate([F, _eval_all(problem.objective, cand[n:])])
-        n_evals += len(cand) - n
-        b = int(np.argmin(f_cand))
-        if f_cand[b] < best_f:
-            best_f = float(f_cand[b])
-            best_x = cand[b].copy()
+        f_cand = np.concatenate([F, search(cand[n:])])
         # Keep the best; fill the rest by distance-based roulette.
+        b = int(np.argmin(f_cand))
         keep = [b]
         rest = np.delete(np.arange(len(cand)), b)
         diff = cand[rest, None, :] - cand[None, rest, :]
@@ -192,8 +200,7 @@ def run_fwa(problem: SoProblem) -> SoResult:
         keep.extend(rest[picks])
         X = cand[keep]
         F = f_cand[keep]
-        trace.append(best_f)
-    return SoResult(best_x, best_f, np.array(trace), n_evals)
+    return search.result()
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +215,11 @@ _LSHADE_ARCHIVE_RATIO = 2.6
 _LSHADE_P_BEST = 0.11
 
 
-def lshade_population_schedule(gen: int, total: int, n_init: int,
-                               n_min: int) -> int:
-    """Linear population size reduction; equals n_min at the final generation."""
-    return int(round(n_init + (n_min - n_init) * gen / total))
+def lshade_population_schedule(gen: int, total: int) -> int:
+    """Linear population size reduction from _LSHADE_N_INIT at generation 0
+    to _LSHADE_N_MIN at generation ``total``."""
+    return int(round(_LSHADE_N_INIT
+                     + (_LSHADE_N_MIN - _LSHADE_N_INIT) * gen / total))
 
 
 def _other_member(rng, n: int) -> np.ndarray:
@@ -248,15 +256,12 @@ def run_lshade(problem: SoProblem) -> SoResult:
     lb, ub, d = problem.lb, problem.ub, problem.dim
     N = _LSHADE_N_INIT
     X = lb + rng.random((N, d)) * (ub - lb)
-    F_pop = _eval_all(problem.objective, X)
-    n_evals = N
+    search = _Search(problem.objective)
+    F_pop = search(X)
     archive = np.empty((0, d))
     M_CR = np.full(_LSHADE_HISTORY, 0.5)
     M_F = np.full(_LSHADE_HISTORY, 0.5)
     hist_k = 0
-    b = int(np.argmin(F_pop))
-    best_x, best_f = X[b].copy(), float(F_pop[b])
-    trace = [best_f]
     for gen in range(1, problem.budget + 1):
         n_pbest = max(2, int(round(_LSHADE_P_BEST * N)))
         slot = rng.integers(_LSHADE_HISTORY, size=N)
@@ -273,8 +278,7 @@ def run_lshade(problem: SoProblem) -> SoResult:
         cross = rng.random((N, d)) < CR[:, None]
         cross[np.arange(N), rng.integers(d, size=N)] = True
         U = np.where(cross, V, X)
-        F_new = _eval_all(problem.objective, U)
-        n_evals += N
+        F_new = search(U)
         success = F_new < F_pop
         if success.any():
             archive = np.vstack([archive, X[success]])
@@ -288,14 +292,8 @@ def run_lshade(problem: SoProblem) -> SoResult:
         replace = F_new <= F_pop
         X[replace] = U[replace]
         F_pop[replace] = F_new[replace]
-        b = int(np.argmin(F_pop))
-        if F_pop[b] < best_f:
-            best_f = float(F_pop[b])
-            best_x = X[b].copy()
-        trace.append(best_f)
         # linear population size reduction
-        N = lshade_population_schedule(gen, problem.budget,
-                                       _LSHADE_N_INIT, _LSHADE_N_MIN)
+        N = lshade_population_schedule(gen, problem.budget)
         keep = np.argsort(F_pop)[:N]
         X, F_pop = X[keep], F_pop[keep]
         # trim the archive to r_arc * N, dropping rows uniformly at random
@@ -303,4 +301,4 @@ def run_lshade(problem: SoProblem) -> SoResult:
         if excess > 0:
             archive = np.delete(archive, rng.choice(len(archive), excess,
                                                     replace=False), axis=0)
-    return SoResult(best_x, best_f, np.array(trace), n_evals)
+    return search.result()

@@ -106,14 +106,14 @@ def test_backpropagation_matches_central_differences():
 # 4. Single-objective benchmark quality
 # ---------------------------------------------------------------------------
 
-def _sphere(x):
-    return float(np.sum(np.asarray(x) ** 2))
+def _sphere(X):
+    return np.sum(np.asarray(X) ** 2, axis=-1)
 
 
-def _rosenbrock(x):
-    x = np.asarray(x)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
-                        + (1.0 - x[:-1]) ** 2))
+def _rosenbrock(X):
+    X = np.asarray(X)
+    return np.sum(100.0 * (X[..., 1:] - X[..., :-1] ** 2) ** 2
+                  + (1.0 - X[..., :-1]) ** 2, axis=-1)
 
 
 def _check_trace(result, problem):

@@ -322,6 +322,17 @@ class TestPipeline:
         assert main(["report", "front_trace.csv", "--kind", "trace",
                      "--config", "run.cfg", "--out", "trace.svg"]) == 0
 
+    def test_single_objective_cp_equals_last_trace_value(self):
+        for stage in ("sample", "evaluate", "train"):
+            assert main([stage, "--config", "run.cfg"]) == 0
+        for name in ("pso", "fwa", "lshade"):
+            assert main(["optimize", "--config", "run.cfg", "--optimizer",
+                         name, "--out", f"best_{name}.csv"]) == 0
+            best = open(f"best_{name}.csv").read().splitlines()[2]
+            last = open(f"best_{name}_trace.csv").read().splitlines()[-1]
+            # Compared as text: the file's cp is the trace's final value.
+            assert best.split(",")[-2] == last.split(",")[1], name
+
     def test_external_results_bypass_the_oracle(self):
         assert main(["sample", "--config", "run.cfg"]) == 0
         assert main(["evaluate", "--config", "run.cfg"]) == 0

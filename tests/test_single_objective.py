@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from drafttube import cli, surrogate
 from drafttube.opt_single import (
     SoProblem,
     _other_member,
+    _Search,
     _positive_cauchy,
     _random_coordinates,
     _third_member,
@@ -15,13 +17,14 @@ from drafttube.opt_single import (
 )
 
 
-def sphere(x):
-    return float(np.sum(np.asarray(x) ** 2))
+def sphere(X):
+    return np.sum(np.asarray(X) ** 2, axis=-1)
 
 
-def rastrigin(x):
-    x = np.asarray(x)
-    return float(10.0 * len(x) + np.sum(x ** 2 - 10.0 * np.cos(2 * np.pi * x)))
+def rastrigin(X):
+    X = np.asarray(X)
+    return 10.0 * X.shape[-1] + np.sum(X ** 2 - 10.0 * np.cos(2 * np.pi * X),
+                                       axis=-1)
 
 
 def box_problem(dim, budget, seed=0, half_width=5.12):
@@ -49,13 +52,24 @@ class TestHelpers:
         assert linear_inertia(50, 100) < linear_inertia(10, 100)
 
     def test_population_schedule_endpoints_and_monotonicity(self):
-        total, n_init, n_min = 200, 100, 4
-        sizes = [lshade_population_schedule(g, total, n_init, n_min)
-                 for g in range(total + 1)]
-        assert sizes[0] == n_init
-        assert sizes[-1] == n_min
+        total = 150
+        sizes = [lshade_population_schedule(g, total) for g in range(total + 1)]
+        assert sizes[0] == 200
+        assert sizes[-1] == 4
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-        assert min(sizes) >= n_min
+        assert min(sizes) >= 4
+
+    def test_search_keeps_best_trace_and_count(self):
+        search = _Search(lambda X: X[:, 0])
+        # The first population sets the best point even when none beats inf.
+        search(np.array([[np.inf, 1.0], [np.inf, 2.0]]))
+        np.testing.assert_array_equal(search.best_x, [np.inf, 1.0])
+        search(np.array([[3.0, 3.0], [2.0, 2.0], [2.0, 5.0]]))
+        search(np.array([[4.0, 4.0]]))
+        result = search.result()
+        np.testing.assert_array_equal(result.best_x, [2.0, 2.0])
+        np.testing.assert_array_equal(result.trace, [np.inf, 2.0, 2.0])
+        assert result.best_f == 2.0 and result.n_evals == 6
 
 
 class TestDraws:
@@ -136,19 +150,72 @@ class TestCommonOptimizerProperties:
 
     def test_reports_evaluation_count(self, name):
         budget = 20
-        result = RUNNERS[name](box_problem(3, budget=budget, seed=3))
+        rows = []
+
+        def counted(X):
+            rows.append(len(X))
+            return sphere(X)
+
+        problem = SoProblem(counted, np.full(3, -5.12), np.full(3, 5.12),
+                            budget=budget, seed=3)
+        result = RUNNERS[name](problem)
+        # One objective call for the initial population, one per generation.
+        assert len(rows) == budget + 1
+        assert len(result.trace) == len(rows)
+        assert result.n_evals == sum(rows)
         # PSO evaluates its 20 particles once more per generation; L-SHADE
         # evaluates each generation's population, shrinking from 200 to 4.
         # FWA's spark count depends on the fitness spread.
         expected = {
             "pso": 20 * (budget + 1),
-            "lshade": 200 + sum(lshade_population_schedule(g, budget, 200, 4)
+            "lshade": 200 + sum(lshade_population_schedule(g, budget)
                                 for g in range(budget)),
         }
         if name in expected:
             assert result.n_evals == expected[name]
-        else:
-            assert result.n_evals > 0
+
+    @pytest.mark.parametrize("objective", [
+        lambda X: float(np.sum(np.asarray(X) ** 2)),
+        lambda X: sphere(X)[:, None],
+        lambda X: sphere(X)[1:],
+    ], ids=["scalar", "column", "short"])
+    def test_objective_must_map_population_to_values(self, name, objective):
+        problem = SoProblem(objective, np.full(3, -1.0), np.full(3, 1.0),
+                            budget=2, seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            RUNNERS[name](problem)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A directory holding run.cfg and a surrogate trained on 80 samples."""
+    path = tmp_path_factory.mktemp("so_cli")
+    (path / "run.cfg").write_text("scenario = II.a\nseed = 3\nsamples = 80\n"
+                                  "lof_k = 10\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(path)
+        mp.delenv(cli.SEED_ENV_VAR, raising=False)
+        for stage in ("sample", "evaluate", "train"):
+            assert cli.main([stage, "--config", "run.cfg"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS))
+def test_cli_predicts_whole_populations(name, trained_run, monkeypatch):
+    monkeypatch.chdir(trained_run)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    calls = []
+    predict = surrogate.MlpModel.predict
+
+    def counted(self, X):
+        calls.append(np.shape(X))
+        return predict(self, X)
+
+    monkeypatch.setattr(surrogate.MlpModel, "predict", counted)
+    assert cli.main(["optimize", "--config", "run.cfg", "--optimizer", name,
+                     "--generations", "5", "--out", f"{name}.csv"]) == 0
+    # The initial population, five generations and the best design's cd.
+    assert len(calls) <= 7, calls
 
 
 class TestConvergenceSmoke:

@@ -16,7 +16,6 @@ __all__ = [
     "MoProblem",
     "ParetoArchive",
     "nondominated_sort",
-    "nondominated_mask",
     "crowding_distance",
     "sbx",
     "polynomial_mutation",
@@ -99,8 +98,10 @@ def _front_2d(F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != 2:
         raise ValueError(f"need (n, 2) objectives, got shape {F.shape}")
-    if not np.all(np.isfinite(F)):
-        raise ValueError("objectives must be finite")
+    bad = np.flatnonzero(~np.all(np.isfinite(F), axis=1))
+    if len(bad):
+        raise ValueError(f"objective values must be finite; row {bad[0]} "
+                         f"is {F[bad[0]]}")
     order = np.lexsort((F[:, 1], F[:, 0]))
     f1, f2 = F[order, 0], F[order, 1]
     prev_min = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
@@ -132,12 +133,6 @@ def nondominated_sort(F: np.ndarray) -> list:
     return fronts
 
 
-def nondominated_mask(F: np.ndarray) -> np.ndarray:
-    mask = np.zeros(len(F), dtype=bool)
-    mask[_front_2d(F)] = True
-    return mask
-
-
 def crowding_distance(F: np.ndarray) -> np.ndarray:
     """NSGA-II crowding distance of one front; boundary points are infinite."""
     F = np.asarray(F, dtype=float)
@@ -159,13 +154,17 @@ def crowding_distance(F: np.ndarray) -> np.ndarray:
 # Variation operators
 # ---------------------------------------------------------------------------
 
-def sbx(p1, p2, lb, ub, eta: float = 20.0, p_c: float = 0.9, *,
-        rng: np.random.Generator):
+_ETA = 20.0  # distribution index of SBX and of polynomial mutation
+_P_C = 0.9   # chance that an SBX pair crosses over
+_P_M = 0.1   # chance that polynomial mutation changes one variable
+
+
+def sbx(p1, p2, lb, ub, *, rng: np.random.Generator):
     """Bounded simulated binary crossover returning two children."""
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     c1, c2 = p1.copy(), p2.copy()
-    if rng.random() > p_c:
+    if rng.random() > _P_C:
         return c1, c2
     for j in range(len(p1)):
         if rng.random() > 0.5 or abs(p1[j] - p2[j]) < 1e-14:
@@ -177,11 +176,11 @@ def sbx(p1, p2, lb, ub, eta: float = 20.0, p_c: float = 0.9, *,
                 beta = 1.0 + 2.0 * (y1 - lb[j]) / (y2 - y1)
             else:
                 beta = 1.0 + 2.0 * (ub[j] - y2) / (y2 - y1)
-            alpha = 2.0 - beta ** -(eta + 1.0)
+            alpha = 2.0 - beta ** -(_ETA + 1.0)
             if u <= 1.0 / alpha:
-                betaq = (u * alpha) ** (1.0 / (eta + 1.0))
+                betaq = (u * alpha) ** (1.0 / (_ETA + 1.0))
             else:
-                betaq = (1.0 / (2.0 - u * alpha)) ** (1.0 / (eta + 1.0))
+                betaq = (1.0 / (2.0 - u * alpha)) ** (1.0 / (_ETA + 1.0))
             if y_ref == y1:
                 val = 0.5 * ((y1 + y2) - betaq * (y2 - y1))
             else:
@@ -192,36 +191,57 @@ def sbx(p1, p2, lb, ub, eta: float = 20.0, p_c: float = 0.9, *,
     return c1, c2
 
 
-def polynomial_mutation(x, lb, ub, eta: float = 20.0, p_m: float = 0.1, *,
-                        rng: np.random.Generator):
-    """Bounded polynomial mutation applied per variable with probability p_m."""
+def polynomial_mutation(x, lb, ub, *, rng: np.random.Generator):
+    """Bounded polynomial mutation, of each variable with chance _P_M."""
     x = np.asarray(x, dtype=float).copy()
     for j in range(len(x)):
-        if rng.random() >= p_m:
+        if rng.random() >= _P_M:
             continue
         y = x[j]
         span = ub[j] - lb[j]
         d1 = (y - lb[j]) / span
         d2 = (ub[j] - y) / span
         u = rng.random()
-        mut_pow = 1.0 / (eta + 1.0)
+        mut_pow = 1.0 / (_ETA + 1.0)
         if u < 0.5:
-            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
+            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (_ETA + 1.0)
             deltaq = val ** mut_pow - 1.0
         else:
-            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
+            val = (2.0 * (1.0 - u)
+                   + 2.0 * (u - 0.5) * (1.0 - d2) ** (_ETA + 1.0))
             deltaq = 1.0 - val ** mut_pow
         x[j] = min(max(y + deltaq * span, lb[j]), ub[j])
     return x
 
 
-def _eval_all(objectives, X) -> np.ndarray:
-    return np.array([objectives(x) for x in X], dtype=float)
+class _Search:
+    """One run's generator and archive, and the only caller of
+    ``problem.objectives``: once per row, the contract the benchmark counts."""
+
+    def __init__(self, problem: MoProblem):
+        self.problem = problem
+        self.rng = np.random.Generator(np.random.PCG64(problem.seed))
+        self.archive = ParetoArchive()
+
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """A uniform first population of ``pop_size``, archived."""
+        p = self.problem
+        X = p.lb + self.rng.random((p.pop_size, p.dim)) * (p.ub - p.lb)
+        return X, self.archived(X)
+
+    def evaluate(self, X) -> np.ndarray:
+        """(n, 2) objective values of the n rows of X."""
+        return np.array([self.problem.objectives(x) for x in X], dtype=float)
+
+    def archived(self, X) -> np.ndarray:
+        """The values of X, after adding X to the archive."""
+        F = self.evaluate(X)
+        self.archive.add_many(X, F)
+        return F
 
 
 def _offspring(rng, X, better, lb, ub) -> np.ndarray:
-    """len(X) children by binary tournament, SBX and polynomial mutation,
-    each with its default eta = 20, p_c = 0.9 and p_m = 0.1.
+    """len(X) children by binary tournament, SBX and polynomial mutation.
 
     ``better(i, j)`` is True when member i wins a tournament against j.
     """
@@ -256,13 +276,9 @@ def _nsga2_rank_crowd(F):
 
 def run_nsga2(problem: MoProblem) -> ParetoArchive:
     """Elitist NSGA-II with binary tournament, SBX and polynomial mutation."""
-    rng = np.random.Generator(np.random.PCG64(problem.seed))
-    lb, ub, d = problem.lb, problem.ub, problem.dim
-    N = problem.pop_size
-    X = lb + rng.random((N, d)) * (ub - lb)
-    F = _eval_all(problem.objectives, X)
-    archive = ParetoArchive()
-    archive.add_many(X, F)
+    search = _Search(problem)
+    rng, lb, ub, N = search.rng, problem.lb, problem.ub, problem.pop_size
+    X, F = search.start()
     for _ in range(problem.generations):
         rank, crowd, _ = _nsga2_rank_crowd(F)
 
@@ -270,8 +286,7 @@ def run_nsga2(problem: MoProblem) -> ParetoArchive:
             return rank[i] < rank[j] or (rank[i] == rank[j] and crowd[i] > crowd[j])
 
         CX = _offspring(rng, X, crowded_better, lb, ub)
-        CF = _eval_all(problem.objectives, CX)
-        archive.add_many(CX, CF)
+        CF = search.archived(CX)
         UX = np.vstack([X, CX])
         UF = np.vstack([F, CF])
         _, ucrowd, ufronts = _nsga2_rank_crowd(UF)
@@ -284,7 +299,7 @@ def run_nsga2(problem: MoProblem) -> ParetoArchive:
                 keep.extend(order[:N - len(keep)].tolist())
                 break
         X, F = UX[keep], UF[keep]
-    return archive
+    return search.archive
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +359,10 @@ def _spea2_truncate(F: np.ndarray, target: int) -> np.ndarray:
 
 def run_spea2(problem: MoProblem) -> ParetoArchive:
     """SPEA2 with archive size equal to the population size."""
-    rng = np.random.Generator(np.random.PCG64(problem.seed))
-    lb, ub, d = problem.lb, problem.ub, problem.dim
-    N = problem.pop_size
-    X = lb + rng.random((N, d)) * (ub - lb)
-    F = _eval_all(problem.objectives, X)
-    AX = np.empty((0, d))
-    AF = np.empty((0, 2))
-    result = ParetoArchive()
-    result.add_many(X, F)
+    search = _Search(problem)
+    rng, lb, ub, N = search.rng, problem.lb, problem.ub, problem.pop_size
+    X, F = search.start()
+    AX, AF = np.empty((0, problem.dim)), np.empty((0, 2))
     for _ in range(problem.generations):
         UX = np.vstack([X, AX])
         UF = np.vstack([F, AF])
@@ -370,9 +380,8 @@ def run_spea2(problem: MoProblem) -> ParetoArchive:
         AX, AF = UX[keep], UF[keep]
         afit = fit[keep]
         X = _offspring(rng, AX, lambda i, j: afit[i] <= afit[j], lb, ub)
-        F = _eval_all(problem.objectives, X)
-        result.add_many(X, F)
-    return result
+        F = search.archived(X)
+    return search.archive
 
 
 # ---------------------------------------------------------------------------
@@ -393,42 +402,29 @@ def tchebycheff(f, weight, z_star) -> np.ndarray:
 _MOEAD_NEIGHBORS = 20  # T, weight-space neighborhood size
 _MOEAD_DELTA = 0.9     # chance of mating within the neighborhood
 _MOEAD_F = 0.5         # DE/rand/1 scale factor
-_MOEAD_CR = 1.0        # binomial crossover rate
 _MOEAD_N_R = 2         # most neighbors one child may replace
 
 
 def run_moead(problem: MoProblem) -> ParetoArchive:
-    """MOEA/D with Tchebycheff decomposition, DE/rand/1 variation and
-    polynomial mutation; needs ``pop_size >= 3`` for three distinct donors."""
-    rng = np.random.Generator(np.random.PCG64(problem.seed))
-    lb, ub, d = problem.lb, problem.ub, problem.dim
-    N = problem.pop_size
+    """Steady-state MOEA/D with Tchebycheff decomposition, DE/rand/1 with
+    CR = 1 (the child is the mutant, as in MOEA/D-DE) and polynomial
+    mutation; needs ``pop_size >= 3`` for three distinct donors."""
+    search = _Search(problem)
+    rng, lb, ub, N = search.rng, problem.lb, problem.ub, problem.pop_size
     W = uniform_weights(N)
     wdist = np.sqrt(np.sum((W[:, None, :] - W[None, :, :]) ** 2, axis=-1))
     T = min(_MOEAD_NEIGHBORS, N)
     neigh = np.argsort(wdist, axis=1, kind="stable")[:, :T]
-    X = lb + rng.random((N, d)) * (ub - lb)
-    F = _eval_all(problem.objectives, X)
+    X, F = search.start()
     z_star = F.min(axis=0)
-    archive = ParetoArchive()
-    archive.add_many(X, F)
     for _ in range(problem.generations):
         gen_X, gen_F = [], []
         for i in range(N):
-            if rng.random() < _MOEAD_DELTA:
-                pool = neigh[i]
-            else:
-                pool = np.arange(N)
+            pool = neigh[i] if rng.random() < _MOEAD_DELTA else np.arange(N)
             r = rng.choice(pool, size=3, replace=False)
-            v = X[r[0]] + _MOEAD_F * (X[r[1]] - X[r[2]])
-            # With CR = 1 every coordinate crosses, but both draws stay so
-            # the random stream is that of the general operator.
-            cross = rng.random(d) < _MOEAD_CR
-            cross[int(rng.integers(d))] = True
-            y = np.where(cross, v, X[i])
-            y = polynomial_mutation(y, lb, ub, rng=rng)
-            y = np.clip(y, lb, ub)
-            fy = np.asarray(problem.objectives(y), dtype=float)
+            y = X[r[0]] + _MOEAD_F * (X[r[1]] - X[r[2]])
+            y = np.clip(polynomial_mutation(y, lb, ub, rng=rng), lb, ub)
+            fy = search.evaluate(y[None])[0]
             z_star = np.minimum(z_star, fy)
             gen_X.append(y)
             gen_F.append(fy)
@@ -440,8 +436,8 @@ def run_moead(problem: MoProblem) -> ParetoArchive:
                          <= tchebycheff(F[order], W[order], z_star)]
             X[hits[:_MOEAD_N_R]] = y
             F[hits[:_MOEAD_N_R]] = fy
-        archive.add_many(np.array(gen_X), np.array(gen_F))
-    return archive
+        search.archive.add_many(np.array(gen_X), np.array(gen_F))
+    return search.archive
 
 
 # ---------------------------------------------------------------------------

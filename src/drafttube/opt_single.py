@@ -55,23 +55,34 @@ class SoResult:
 
 
 class _Search:
-    """Evaluates populations and keeps the best point, the best-so-far trace
-    (one entry per population) and the count of evaluated rows."""
+    """One run's generator and evaluations: the best point, the best-so-far
+    trace (one entry per population) and the count of evaluated rows."""
 
-    def __init__(self, objective):
-        self.objective = objective
+    def __init__(self, problem: SoProblem):
+        self.problem = problem
+        self.rng = np.random.Generator(np.random.PCG64(problem.seed))
         self.best_x, self.best_f = None, np.inf
         self.trace = []
         self.n_evals = 0
 
+    def start(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n uniform points in the box and their values."""
+        p = self.problem
+        X = p.lb + self.rng.random((n, p.dim)) * (p.ub - p.lb)
+        return X, self(X)
+
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        F = np.asarray(self.objective(X), dtype=float)
+        F = np.asarray(self.problem.objective(X), dtype=float)
         if F.shape != (len(X),):
             raise ValueError(f"objective returned shape {F.shape} for a "
                              f"population of {len(X)}; expected ({len(X)},)")
+        bad = np.flatnonzero(~np.isfinite(F))
+        if len(bad):
+            raise ValueError(f"objective values must be finite; row {bad[0]} "
+                             f"is {F[bad[0]]}")
         self.n_evals += len(X)
         b = int(np.argmin(F))
-        if self.best_x is None or F[b] < self.best_f:
+        if F[b] < self.best_f:
             self.best_x, self.best_f = X[b].copy(), float(F[b])
         self.trace.append(self.best_f)
         return F
@@ -101,15 +112,12 @@ def linear_inertia(iteration: int, total: int) -> float:
 def run_pso(problem: SoProblem) -> SoResult:
     """Global-best PSO with clamped positions and reflected velocities:
     20 particles, c1 = c2 = 2 and a linearly decreasing inertia."""
-    rng = np.random.Generator(np.random.PCG64(problem.seed))
-    lb, ub, d = problem.lb, problem.ub, problem.dim
-    span = ub - lb
+    search = _Search(problem)
+    rng, lb, ub, d = search.rng, problem.lb, problem.ub, problem.dim
     n = _PSO_PARTICLES
-    v_max = _PSO_V_MAX * span
-    X = lb + rng.random((n, d)) * span
+    v_max = _PSO_V_MAX * (ub - lb)
+    X, F = search.start(n)
     V = (rng.random((n, d)) - 0.5) * 2.0 * v_max
-    search = _Search(problem.objective)
-    F = search(X)
     pbest_x, pbest_f = X.copy(), F.copy()
     for it in range(problem.budget):
         w = linear_inertia(it, problem.budget)
@@ -162,15 +170,12 @@ def run_fwa(problem: SoProblem) -> SoResult:
     """Fireworks algorithm: rank-dependent explosion amplitudes, Gaussian
     sparks and distance-based roulette selection keeping the best, with
     20 fireworks, 10 explosion and 10 Gaussian sparks per generation."""
-    rng = np.random.Generator(np.random.PCG64(problem.seed))
-    lb, ub, d = problem.lb, problem.ub, problem.dim
-    span = ub - lb
+    search = _Search(problem)
+    rng, lb, ub, d = search.rng, problem.lb, problem.ub, problem.dim
     eps = 1e-12
     n = _FWA_FIREWORKS
-    X = lb + rng.random((n, d)) * span
-    search = _Search(problem.objective)
-    F = search(X)
-    a_hat = _FWA_AMPLITUDE * span
+    X, F = search.start(n)
+    a_hat = _FWA_AMPLITUDE * (ub - lb)
     for _ in range(problem.budget):
         f_min, f_max = F.min(), F.max()
         # Better fireworks explode with smaller amplitude and more sparks.
@@ -252,12 +257,10 @@ def run_lshade(problem: SoProblem) -> SoResult:
     memories updated by weighted Lehmer means and midpoint-to-bound repair;
     the population shrinks from 200 to 4 over the run.
     """
-    rng = np.random.Generator(np.random.PCG64(problem.seed))
-    lb, ub, d = problem.lb, problem.ub, problem.dim
+    search = _Search(problem)
+    rng, lb, ub, d = search.rng, problem.lb, problem.ub, problem.dim
     N = _LSHADE_N_INIT
-    X = lb + rng.random((N, d)) * (ub - lb)
-    search = _Search(problem.objective)
-    F_pop = search(X)
+    X, F_pop = search.start(N)
     archive = np.empty((0, d))
     M_CR = np.full(_LSHADE_HISTORY, 0.5)
     M_F = np.full(_LSHADE_HISTORY, 0.5)

@@ -308,6 +308,28 @@ class TestPipeline:
         assert svg.startswith("<!-- drafttube stage=report")
         assert "<svg" in svg
 
+    def test_decide_without_rescore_ranks_the_predictions(self):
+        for stage in ("sample", "evaluate", "train", "optimize"):
+            assert main([stage, "--config", "run.cfg"]) == 0
+        assert main(["decide", "--config", "run.cfg", "--no-rescore",
+                     "--out", "decision_pred.csv"]) == 0
+        assert main(["decide", "--config", "run.cfg"]) == 0
+        front = np.atleast_2d(np.genfromtxt("front.csv", delimiter=",",
+                                            skip_header=2))
+        lb, ub = geometry.scenario_bounds("II.a")
+        for path in ("decision_pred.csv", "decision.csv"):
+            pick = np.atleast_2d(np.genfromtxt(path, delimiter=",",
+                                               skip_header=2))[0]
+            x, cp_cd = pick[3:-2], pick[-2:]
+            row = front[int(pick[1])]
+            np.testing.assert_array_equal(x, row[:-2])
+            if path == "decision_pred.csv":
+                np.testing.assert_array_equal(cp_cd, row[-2:])
+            else:
+                oracle = cli.evaluate_samples(x[None], lb, ub)[0]
+                np.testing.assert_array_equal(cp_cd, oracle)
+                assert not np.array_equal(cp_cd, row[-2:])
+
     def test_single_objective_run_writes_trace(self):
         assert main(["sample", "--config", "run.cfg"]) == 0
         assert main(["evaluate", "--config", "run.cfg"]) == 0

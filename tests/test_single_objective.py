@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from drafttube import cli, surrogate
+from drafttube.opt_multi import MoProblem, run_moead, run_nsga2, run_spea2
 from drafttube.opt_single import (
     SoProblem,
     _other_member,
@@ -60,15 +61,17 @@ class TestHelpers:
         assert min(sizes) >= 4
 
     def test_search_keeps_best_trace_and_count(self):
-        search = _Search(lambda X: X[:, 0])
-        # The first population sets the best point even when none beats inf.
-        search(np.array([[np.inf, 1.0], [np.inf, 2.0]]))
-        np.testing.assert_array_equal(search.best_x, [np.inf, 1.0])
+        search = _Search(SoProblem(lambda X: X[:, 0], np.zeros(2),
+                                   np.full(2, 9.0)))
+        with pytest.raises(ValueError, match="row 1 is inf"):
+            search(np.array([[5.0, 1.0], [np.inf, 2.0]]))
+        assert search.best_x is None and search.n_evals == 0
+        search(np.array([[5.0, 1.0], [6.0, 2.0]]))
         search(np.array([[3.0, 3.0], [2.0, 2.0], [2.0, 5.0]]))
         search(np.array([[4.0, 4.0]]))
         result = search.result()
         np.testing.assert_array_equal(result.best_x, [2.0, 2.0])
-        np.testing.assert_array_equal(result.trace, [np.inf, 2.0, 2.0])
+        np.testing.assert_array_equal(result.trace, [5.0, 2.0, 2.0])
         assert result.best_f == 2.0 and result.n_evals == 6
 
 
@@ -184,6 +187,34 @@ class TestCommonOptimizerProperties:
                             budget=2, seed=0)
         with pytest.raises(ValueError, match="shape"):
             RUNNERS[name](problem)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["pso", "fwa", "lshade",
+                                  "nsga2", "spea2", "moead"])
+def test_non_finite_objective_value_names_its_row(name, value):
+    """A value that is not finite at row 3 of the first population stops
+    each of the six runners with a ValueError that names the row."""
+    lb, ub = np.zeros(3), np.ones(3)
+    if name in RUNNERS:
+        def objective(X):
+            F = sphere(X)
+            F[3] = value
+            return F
+
+        problem, runner = SoProblem(objective, lb, ub, budget=3), RUNNERS[name]
+    else:
+        calls = []
+
+        def objective(x):
+            calls.append(x)
+            return (value if len(calls) == 4 else x[0]), x[1]
+
+        problem = MoProblem(objective, lb, ub, generations=3, pop_size=12)
+        runner = {"nsga2": run_nsga2, "spea2": run_spea2,
+                  "moead": run_moead}[name]
+    with pytest.raises(ValueError, match="row 3 is"):
+        runner(problem)
 
 
 @pytest.fixture(scope="module")

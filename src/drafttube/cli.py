@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import doe, evaluator, geometry, opt_multi, opt_single, report, surrogate
-from .decision import DecisionError, DecisionMatrix, topsis
+from .decision import DecisionError, DecisionMatrix, TopsisResult, topsis
 from .evaluator import EvaluationError
 from .geometry import GeometryError
 from .surrogate import SurrogateError
@@ -77,8 +77,8 @@ def load_config(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -146,12 +146,18 @@ def config_hash(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Artifact lineage
+# Artifact checks
 # ---------------------------------------------------------------------------
 
+def lineage(stage: str, cfg: dict) -> dict:
+    """The lineage record a ``stage`` artifact made under ``cfg`` carries."""
+    return {"stage": stage, "scenario": cfg["scenario"], "seed": cfg["seed"],
+            "config": config_hash(cfg)}
+
+
 def lineage_comment(stage: str, cfg: dict) -> str:
-    return (f"drafttube stage={stage} scenario={cfg['scenario']} "
-            f"seed={cfg['seed']} config={config_hash(cfg)}")
+    return "drafttube " + " ".join(f"{k}={v}" for k, v
+                                   in lineage(stage, cfg).items())
 
 
 def read_lineage(path) -> dict:
@@ -159,8 +165,8 @@ def read_lineage(path) -> dict:
     try:
         with open(path) as fh:
             first = fh.readline().strip()
-    except OSError as exc:
-        raise DataError(f"missing upstream artifact: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     for prefix, suffix in (("# ", ""), ("<!-- ", " -->")):
         if first.startswith(prefix + "drafttube "):
             body = first[len(prefix):]
@@ -174,10 +180,11 @@ def read_lineage(path) -> dict:
     raise DataError(f"{path}: no lineage comment on the first line")
 
 
-def check_lineage(path, cfg: dict, expect_stage: str | None = None) -> dict:
-    """The artifact's lineage, after checking its scenario against the run's
-    and, unless ``expect_stage`` is None, its stage."""
-    lin = read_lineage(path)
+def check_lineage(path, cfg: dict, expect_stage: str | None = None,
+                  lin: dict | None = None) -> dict:
+    """The lineage ``lin``, or else the artifact's first line, checked against
+    the run's scenario and, unless ``expect_stage`` is None, the stage."""
+    lin = read_lineage(path) if lin is None else lin
     if expect_stage is not None and lin.get("stage") != expect_stage:
         raise DataError(f"{path}: expected a {expect_stage!r} artifact, "
                         f"got stage {lin.get('stage')!r}")
@@ -186,10 +193,6 @@ def check_lineage(path, cfg: dict, expect_stage: str | None = None) -> dict:
                         f"{lin.get('scenario')!r}, run is {cfg['scenario']!r}")
     return lin
 
-
-# ---------------------------------------------------------------------------
-# Design rows and oracle evaluation
-# ---------------------------------------------------------------------------
 
 def check_design_rows(path, X: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
     """Return the scenario bounds after checking X's width and bounds.
@@ -207,6 +210,10 @@ def check_design_rows(path, X: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]
     return lb, ub
 
 
+# ---------------------------------------------------------------------------
+# Pipeline stages: array functions of the effective config
+# ---------------------------------------------------------------------------
+
 def evaluate_samples(X: np.ndarray, lb, ub) -> np.ndarray:
     """Map sample rows through the synthetic oracle, preserving order."""
     reference = geometry.load_reference()
@@ -220,14 +227,86 @@ def evaluate_samples(X: np.ndarray, lb, ub) -> np.ndarray:
     return Y
 
 
+def minimized(Y: np.ndarray) -> np.ndarray:
+    """(cp, cd) rows <-> the minimized objectives (-cp, cd); exact both ways."""
+    return Y * (-1.0, 1.0)
+
+
+def prepare(X: np.ndarray, Y: np.ndarray, cfg: dict) -> ds.Dataset:
+    """Evaluated rows after LOF filtering, the split and the scaling."""
+    return ds.Dataset.prepare(X, Y, ratio=cfg["train_ratio"], seed=cfg["seed"],
+                              k_neighbors=cfg["lof_k"],
+                              lof_threshold=cfg["lof_threshold"])
+
+
+def _fit_split(data: ds.Dataset, cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The training rows Adam fits and those early stopping watches."""
+    return ds.split(len(data.train_idx), ratio=0.85, seed=cfg["seed"] + 1)
+
+
+def train_surrogate(data: ds.Dataset, cfg: dict) -> surrogate.MlpModel:
+    """The scenario's tuned MLP trained on ``data``; ``model.meta`` holds the
+    lineage, the stopping epochs and the held-out metrics."""
+    mlp_cfg = (surrogate.TUNED_SCENARIO_I if cfg["scenario"].startswith("I.")
+               else surrogate.TUNED_SCENARIO_II)
+    model = surrogate.MlpModel(data.X.shape[1], mlp_cfg, seed=cfg["seed"])
+    X_tr, Y_tr = data.X_train, data.Y_train
+    tr, va = _fit_split(data, cfg)
+    history = surrogate.train(model, X_tr[tr], Y_tr[tr], X_tr[va], Y_tr[va],
+                              seed=cfg["seed"])
+    model.x_scaler, model.y_scaler = data.x_scaler, data.y_scaler
+    rep = surrogate.metrics(data.Y[data.test_idx],
+                            model.predict(data.X[data.test_idx]))
+    model.meta = {
+        "lineage": lineage("train", cfg),
+        "best_epoch": history.best_epoch,
+        "stopped_epoch": history.stopped_epoch,
+        "test_mape_pct": [float(v) for v in rep.mape],
+        "test_rrmse_pct": [float(v) for v in rep.rrmse],
+        "test_r2": [float(v) for v in rep.r2],
+    }
+    return model
+
+
+def optimize(model: surrogate.MlpModel, cfg: dict):
+    """(X, Y, trace, n_evals): the configured optimizer's designs and their
+    predicted (cp, cd) rows, and for a single-objective run the best cp per
+    generation and the count of evaluated rows (None for a front)."""
+    lb, ub = geometry.scenario_bounds(cfg["scenario"])
+    single = cfg["optimizer"] in SO_OPTIMIZERS
+    run = getattr(opt_single if single else opt_multi, f"run_{cfg['optimizer']}")
+    if not single:
+        archive = run(opt_multi.MoProblem(
+            lambda x: minimized(model.predict(x)), lb, ub,
+            generations=cfg["generations"], seed=cfg["seed"],
+            pop_size=cfg["pop_size"]))
+        return archive.points(), minimized(archive.front()), None, None
+    # Single objective: maximize predicted pressure recovery.
+    result = run(opt_single.SoProblem(
+        lambda X: minimized(model.predict(X))[:, 0], lb, ub,
+        budget=cfg["generations"], seed=cfg["seed"]))
+    best = minimized(model.predict(result.best_x))
+    # The cp the search saw: a one-row predict may differ in the last bits
+    # from the same row predicted within its population.
+    best[0] = result.best_f
+    trace = minimized(result.trace[:, None])[:, 0]  # best -cp per generation, as cp
+    return (result.best_x[None, :], minimized(best)[None, :], trace,
+            result.n_evals)
+
+
+def decide(Y: np.ndarray, cfg: dict) -> TopsisResult:
+    """TOPSIS ranking of (cp, cd) rows under the configured weights."""
+    w = np.array([cfg["weight_cp"], cfg["weight_cd"]])
+    return topsis(DecisionMatrix(Y, w / w.sum(), np.array([True, False])))
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: read, check lineage, call the stage, write, print
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args, cfg) -> int:
     lb, ub = geometry.scenario_bounds(cfg["scenario"])
-    plan = doe.DoePlan(cfg["samples"], lb, ub, seed=cfg["seed"])
-    X = doe.lhs(plan)
+    X = doe.lhs(doe.DoePlan(cfg["samples"], lb, ub, seed=cfg["seed"]))
     doe.write_samples_csv(args.out, X, lineage_comment("sample", cfg))
     print(f"wrote {len(X)} samples x {X.shape[1]} variables to {args.out}")
     return EXIT_OK
@@ -249,50 +328,26 @@ def cmd_evaluate(args, cfg) -> int:
     return EXIT_OK
 
 
-def _tuned_config(scenario: str) -> surrogate.MlpConfig:
-    return (surrogate.TUNED_SCENARIO_I if scenario.startswith("I.")
-            else surrogate.TUNED_SCENARIO_II)
-
-
-def _prepare_dataset(path, cfg) -> ds.Dataset:
+def _read_dataset(path, cfg) -> ds.Dataset:
     check_lineage(path, cfg, "evaluate")
     X, Y = evaluator.ingest_csv(path)
     check_design_rows(path, X, cfg)
     try:
-        return ds.Dataset.prepare(X, Y, ratio=cfg["train_ratio"],
-                                  seed=cfg["seed"], k_neighbors=cfg["lof_k"],
-                                  lof_threshold=cfg["lof_threshold"])
+        return prepare(X, Y, cfg)
     except ds.DatasetError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_train(args, cfg) -> int:
-    data = _prepare_dataset(args.infile, cfg)
-    mlp_cfg = _tuned_config(cfg["scenario"])
-    model = surrogate.MlpModel(data.X.shape[1], mlp_cfg, seed=cfg["seed"])
-    X_tr, Y_tr = data.X_train, data.Y_train
-    tr, va = ds.split(len(X_tr), ratio=0.85, seed=cfg["seed"] + 1)
-    history = surrogate.train(model, X_tr[tr], Y_tr[tr], X_tr[va], Y_tr[va],
-                              seed=cfg["seed"])
-    model.x_scaler = data.x_scaler
-    model.y_scaler = data.y_scaler
-    rep = surrogate.metrics(data.Y[data.test_idx],
-                            model.predict(data.X[data.test_idx]))
-    model.meta = {
-        "lineage": {"stage": "train", "scenario": cfg["scenario"],
-                    "seed": cfg["seed"], "config": config_hash(cfg)},
-        "best_epoch": history.best_epoch,
-        "stopped_epoch": history.stopped_epoch,
-        "test_mape_pct": [float(v) for v in rep.mape],
-        "test_rrmse_pct": [float(v) for v in rep.rrmse],
-        "test_r2": [float(v) for v in rep.r2],
-    }
+    data = _read_dataset(args.infile, cfg)
+    model = train_surrogate(data, cfg)
     surrogate.save_model(model, args.out)
-    print(f"trained on {len(tr)} rows, stopped at epoch "
-          f"{history.stopped_epoch} (best {history.best_epoch})")
+    m = model.meta
+    print(f"trained on {len(_fit_split(data, cfg)[0])} rows, stopped at epoch "
+          f"{m['stopped_epoch']} (best {m['best_epoch']})")
     for i, name in enumerate(("cp", "cd")):
-        print(f"held-out {name}: R2={rep.r2[i]:.4f} "
-              f"MAPE={rep.mape[i]:.3f}% rRMSE={rep.rrmse[i]:.3f}%")
+        print(f"held-out {name}: R2={m['test_r2'][i]:.4f} "
+              f"MAPE={m['test_mape_pct'][i]:.3f}% rRMSE={m['test_rrmse_pct'][i]:.3f}%")
     print(f"wrote model to {args.out}")
     return EXIT_OK
 
@@ -302,7 +357,7 @@ def cmd_tune(args, cfg) -> int:
         raise UsageError("--epochs must be >= 1")
     if args.patience < 0:
         raise UsageError("--patience must be >= 0")
-    data = _prepare_dataset(args.infile, cfg)
+    data = _read_dataset(args.infile, cfg)
     best_cfg, best_score, log = surrogate.tune(
         data.X_train, data.Y_train, trials=cfg["trials"], seed=cfg["seed"],
         epochs=args.epochs, patience=args.patience)
@@ -325,14 +380,9 @@ def cmd_tune(args, cfg) -> int:
 def _load_model_checked(path, cfg) -> surrogate.MlpModel:
     try:
         model = surrogate.load_model(path)
-    except OSError as exc:
-        raise DataError(f"missing upstream artifact: {exc}") from None
     except SurrogateError as exc:
         raise DataError(str(exc)) from None
-    lin = model.meta.get("lineage", {})
-    if lin.get("scenario") != cfg["scenario"]:
-        raise DataError(f"{path}: scenario mismatch: model is "
-                        f"{lin.get('scenario')!r}, run is {cfg['scenario']!r}")
+    check_lineage(path, cfg, lin=model.meta.get("lineage", {}))
     return model
 
 
@@ -341,53 +391,26 @@ TRACE_HEADER = ["generation", "best_objective"]
 
 def cmd_optimize(args, cfg) -> int:
     model = _load_model_checked(args.model, cfg)
-    lb, ub = geometry.scenario_bounds(cfg["scenario"])
+    lb, _ = geometry.scenario_bounds(cfg["scenario"])
     if model.n_inputs != len(lb):
         raise DataError(f"{args.model}: model has {model.n_inputs} inputs, "
                         f"scenario {cfg['scenario']} has {len(lb)}")
+    X, Y, trace, n_evals = optimize(model, cfg)
     name = cfg["optimizer"]
-    comment = lineage_comment("optimize", cfg) + f" optimizer={name}"
-    if name in SO_OPTIMIZERS:
-        # Single objective: maximize predicted pressure recovery.
-        problem = opt_single.SoProblem(lambda X: -model.predict(X)[:, 0],
-                                       lb, ub, budget=cfg["generations"],
-                                       seed=cfg["seed"])
-        runner = {"pso": opt_single.run_pso, "fwa": opt_single.run_fwa,
-                  "lshade": opt_single.run_lshade}[name]
-        result = runner(problem)
-        pred = model.predict(result.best_x)
-        # The cp the search saw: a one-row predict may differ in the last
-        # bits from the same row predicted within its population.
-        pred[0] = -result.best_f
-        evaluator.write_dataset_csv(args.out, result.best_x[None, :],
-                                    pred[None, :], comment)
-        trace_path = args.trace_out or str(
-            Path(args.out).with_suffix("")) + "_trace.csv"
-        evaluator.write_table(trace_path, lineage_comment("optimize", cfg),
-                              TRACE_HEADER, enumerate(-result.trace, 1))
-        print(f"{name}: best predicted cp={pred[0]:.4f} cd={pred[1]:.4f} "
-              f"after {result.n_evals} evaluations")
-        print(f"wrote best design to {args.out}, trace to {trace_path}")
-    else:
-        # Two objectives, both minimized internally: (-Cp, Cd).
-        def objectives(x):
-            cp, cd = model.predict(x)
-            return -float(cp), float(cd)
-
-        problem = opt_multi.MoProblem(objectives, lb, ub,
-                                      generations=cfg["generations"],
-                                      seed=cfg["seed"],
-                                      pop_size=cfg["pop_size"])
-        runner = {"nsga2": opt_multi.run_nsga2, "spea2": opt_multi.run_spea2,
-                  "moead": opt_multi.run_moead}[name]
-        archive = runner(problem)
-        F = archive.front()
-        Y = np.column_stack([-F[:, 0], F[:, 1]])
-        evaluator.write_dataset_csv(args.out, archive.points(), Y, comment)
-        print(f"{name}: archived front of {len(archive)} designs, "
+    evaluator.write_dataset_csv(args.out, X, Y, lineage_comment("optimize", cfg)
+                                + f" optimizer={name}")
+    if trace is None:
+        print(f"{name}: archived front of {len(X)} designs, "
               f"cp in [{Y[:, 0].min():.4f}, {Y[:, 0].max():.4f}], "
               f"cd in [{Y[:, 1].min():.4f}, {Y[:, 1].max():.4f}]")
         print(f"wrote front to {args.out}")
+        return EXIT_OK
+    trace_path = args.trace_out or f"{Path(args.out).with_suffix('')}_trace.csv"
+    evaluator.write_table(trace_path, lineage_comment("optimize", cfg),
+                          TRACE_HEADER, enumerate(trace, 1))
+    print(f"{name}: best predicted cp={Y[0, 0]:.4f} cd={Y[0, 1]:.4f} "
+          f"after {n_evals} evaluations")
+    print(f"wrote best design to {args.out}, trace to {trace_path}")
     return EXIT_OK
 
 
@@ -398,12 +421,7 @@ def cmd_decide(args, cfg) -> int:
     if args.rescore:
         # Validate the surrogate front against the ground-truth evaluator.
         Y = evaluate_samples(X, lb, ub)
-    w = np.array([cfg["weight_cp"], cfg["weight_cd"]])
-    w = w / w.sum()
-    try:
-        result = topsis(DecisionMatrix(Y, w, np.array([True, False])))
-    except DecisionError as exc:
-        raise DataError(str(exc)) from None
+    result = decide(Y, cfg)
     evaluator.write_table(
         args.out, lineage_comment("decide", cfg),
         ["rank", "alternative", "closeness"] + evaluator.x_columns(X.shape[1])
@@ -576,7 +594,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, EvaluationError, ds.DatasetError, DecisionError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SurrogateError, GeometryError, FloatingPointError) as exc:

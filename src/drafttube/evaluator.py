@@ -136,9 +136,12 @@ def read_table(path, header_ok) -> tuple[list[str], np.ndarray]:
     float per column, and there must be at least one. Errors name the file
     and, where there is one, the offending line.
     """
-    with open(path) as fh:
-        lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)
-                 if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path) as fh:
+            lines = [(i, ln.strip()) for i, ln in enumerate(fh, 1)
+                     if ln.strip() and not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise EvaluationError(f"{path}: {exc}") from None
     if not lines:
         raise EvaluationError(f"{path}: no header")
     lineno, text = lines[0]

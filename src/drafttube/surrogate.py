@@ -473,6 +473,9 @@ def load_model(path) -> MlpModel:
                         raise ValueError(f"{key} needs {width} mins and maxs")
                     setattr(model, key, scaler)
             model.meta = doc.get("meta", {})
+            if not isinstance(model.meta, dict) \
+                    or not isinstance(model.meta.get("lineage", {}), dict):
+                raise ValueError("meta and meta.lineage must be JSON objects")
         except (KeyError, TypeError, ValueError, SurrogateError) as exc:
             raise SurrogateError(f"{path}: malformed model: "
                                  f"{type(exc).__name__}: {exc}") from None

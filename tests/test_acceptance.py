@@ -8,6 +8,7 @@ that strictly improves the calibrated reference design, and byte-identical
 reruns.
 """
 
+import argparse
 import itertools
 
 import numpy as np
@@ -56,12 +57,10 @@ def test_tuned_surrogate_accuracy_on_synthetic_dataset():
     lb, ub = geometry.scenario_bounds("II.a")  # 18-D, +-0.25 everywhere
     X = doe.lhs(doe.DoePlan(5000, lb, ub, seed=11))
     Y = cli.evaluate_samples(X, lb, ub)
-    data = ds.Dataset.prepare(X, Y, seed=11)
-    model = surrogate.MlpModel(18, surrogate.TUNED_SCENARIO_II, seed=11)
-    X_tr, Y_tr = data.X_train, data.Y_train
-    tr, va = ds.split(len(X_tr), ratio=0.85, seed=12)
-    surrogate.train(model, X_tr[tr], Y_tr[tr], X_tr[va], Y_tr[va], seed=11)
-    model.x_scaler, model.y_scaler = data.x_scaler, data.y_scaler
+    # The recipe `train` runs, with every other config key at its default.
+    cfg = cli.effective_config(argparse.Namespace(scenario="II.a", seed=11))
+    data = cli.prepare(X, Y, cfg)
+    model = cli.train_surrogate(data, cfg)
     rep = surrogate.metrics(data.Y[data.test_idx],
                             model.predict(data.X[data.test_idx]))
     assert np.all(rep.r2 >= 0.90), rep.r2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from drafttube import cli, doe, geometry, surrogate
+from drafttube import cli, doe, evaluator, geometry, surrogate
 from drafttube.cli import (
     DataError,
     UsageError,
@@ -95,8 +96,18 @@ class TestExitCodes:
     def test_usage_error_is_2(self):
         assert main(["sample", "--config", "missing.cfg"]) == 2
 
+    def test_config_that_is_not_utf8_is_2_and_named(self, capsys):
+        open("binary.cfg", "wb").write(b"\xffseed = 3\n")
+        assert main(["sample", "--config", "binary.cfg"]) == 2
+        assert "binary.cfg" in capsys.readouterr().err
+
     def test_missing_artifact_is_3(self):
         assert main(["train", "--in", "missing.csv"]) == 3
+
+    def test_unwritable_out_is_3_and_named(self, capsys):
+        os.mkdir("adir")
+        assert main(["sample", "--config", "run.cfg", "--out", "adir"]) == 3
+        assert "adir" in capsys.readouterr().err
 
     def test_scenario_mismatch_is_3(self):
         assert main(["sample", "--config", "run.cfg"]) == 0
@@ -144,7 +155,8 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["truncated", "dropped-layer",
-                                        "short-x-scaler"])
+                                        "short-x-scaler", "meta-list",
+                                        "lineage-number"])
     def test_malformed_model_is_3_and_named(self, capsys, damage):
         model = surrogate.MlpModel(18, surrogate.TUNED_SCENARIO_II)
         model.x_scaler = MinMaxScaler(np.zeros(18), np.ones(18))
@@ -158,6 +170,10 @@ class TestExitCodes:
             doc = json.loads(body)
             if damage == "dropped-layer":
                 del doc["weights"][1]
+            elif damage == "meta-list":
+                doc["meta"] = []
+            elif damage == "lineage-number":
+                doc["meta"] = {"lineage": 5}
             else:
                 del doc["x_scaler"]["mins"][-1]
             body = json.dumps(doc)
@@ -236,12 +252,17 @@ class TestExitCodes:
           + "generation,best_objective\n1,0.8\n2\n"},
          ["report", "run_trace.csv", "--kind", "trace", "--out", "t.svg"],
          "run_trace.csv:4: expected 2 columns"),
+        ({"ext.csv": b"\xff" + DATA_HEADER.encode()},
+         ["evaluate", "--external", "ext.csv", "--out", "x.csv"],
+         "ext.csv: 'utf-8' codec can't decode byte 0xff"),
+        ({"dataset.csv": b"\xff" + DATA_HEADER.encode()}, ["train"],
+         "dataset.csv: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["external-header-only", "train-header-only", "decide-header-only",
             "decision-without-rows", "decision-without-cp-cd",
-            "malformed-trace-row"])
+            "malformed-trace-row", "external-not-utf8", "train-not-utf8"])
     def test_bad_table_is_3_and_named(self, capsys, files, argv, where):
         for name, text in files.items():
-            open(name, "w").write(text)
+            open(name, "wb" if isinstance(text, bytes) else "w").write(text)
         assert main(argv + ["--config", "run.cfg"]) == 3
         assert where in capsys.readouterr().err
 
@@ -416,3 +437,76 @@ class TestDeterminism:
         # Byte identity covers the lineage line and its config digest.
         assert open("plain.csv", "rb").read() == \
             open("workers.csv", "rb").read()
+
+
+def _cfg(**flags):
+    """The effective config of run.cfg under ``flags``, as a command sees it."""
+    return cli.effective_config(argparse.Namespace(config="run.cfg", **flags))
+
+
+def _decision_rows(path):
+    return evaluator.read_table(path, lambda h: h[:2] == ["rank",
+                                                          "alternative"])[1]
+
+
+class TestStageParity:
+    """Each array stage returns, bit for bit, what its command writes."""
+
+    @pytest.fixture(autouse=True)
+    def trained(self, workdir):
+        for stage in ("sample", "evaluate", "train"):
+            assert main([stage, "--config", "run.cfg"]) == 0
+
+    def test_train(self):
+        X, Y = evaluator.ingest_csv("dataset.csv")
+        cfg = _cfg()
+        surrogate.save_model(cli.train_surrogate(cli.prepare(X, Y, cfg), cfg),
+                             "lib.json")
+        assert open("lib.json", "rb").read() == open("model.json", "rb").read()
+
+    @pytest.mark.parametrize("name", cli.SO_OPTIMIZERS + cli.MO_OPTIMIZERS)
+    def test_optimize(self, name, capsys):
+        assert main(["optimize", "--config", "run.cfg", "--optimizer", name,
+                     "--out", "out.csv"]) == 0
+        out = capsys.readouterr().out
+        X, Y, trace, n_evals = cli.optimize(surrogate.load_model("model.json"),
+                                            _cfg(optimizer=name))
+        written = evaluator.ingest_csv("out.csv")
+        assert written[0].tobytes() == X.tobytes()
+        assert written[1].tobytes() == Y.tobytes()
+        if name in cli.MO_OPTIMIZERS:
+            assert trace is None and n_evals is None
+            return
+        rows = evaluator.read_table("out_trace.csv",
+                                    lambda h: h == cli.TRACE_HEADER)[1]
+        assert rows[:, 1].tobytes() == trace.tobytes()
+        assert f"after {n_evals} evaluations" in out
+
+    @pytest.mark.parametrize("rescore", [True, False])
+    def test_decide(self, rescore):
+        assert main(["optimize", "--config", "run.cfg"]) == 0
+        assert main(["decide", "--config", "run.cfg", "--weight-cp", "3"]
+                    + ([] if rescore else ["--no-rescore"])) == 0
+        X, Y = evaluator.ingest_csv("front.csv")
+        if rescore:
+            Y = cli.evaluate_samples(X, *geometry.scenario_bounds("II.a"))
+        result = cli.decide(Y, _cfg(weight_cp=3.0))
+        rows = _decision_rows("decision.csv")
+        assert rows[:, 1].tolist() == result.ranking.tolist()
+        assert rows[:, 2].tobytes() == result.closeness[result.ranking].tobytes()
+        assert rows[:, -2:].tobytes() == Y[result.ranking].tobytes()
+
+    def test_in_process_chain_reproduces_the_cli_decision(self):
+        for stage in ("optimize", "decide"):
+            assert main([stage, "--config", "run.cfg"]) == 0
+        cfg = _cfg()
+        lb, ub = geometry.scenario_bounds(cfg["scenario"])
+        X = doe.lhs(doe.DoePlan(cfg["samples"], lb, ub, seed=cfg["seed"]))
+        data = cli.prepare(X, cli.evaluate_samples(X, lb, ub), cfg)
+        front, _, _, _ = cli.optimize(cli.train_surrogate(data, cfg), cfg)
+        Y = cli.evaluate_samples(front, lb, ub)
+        result = cli.decide(Y, cfg)
+        r = result.ranking
+        expected = np.column_stack([np.arange(1, len(r) + 1), r,
+                                    result.closeness[r], front[r], Y[r]])
+        assert _decision_rows("decision.csv").tobytes() == expected.tobytes()

@@ -119,6 +119,8 @@ def effective_config(args) -> dict:
         raise UsageError(str(exc)) from None
     if cfg["optimizer"] not in SO_OPTIMIZERS + MO_OPTIMIZERS:
         raise UsageError(f"unknown optimizer {cfg['optimizer']!r}")
+    if cfg["seed"] < 0:
+        raise UsageError("seed must be >= 0")
     for key in ("samples", "trials", "generations", "pop_size", "lof_k"):
         if cfg[key] < 1:
             raise UsageError(f"{key} must be >= 1")
@@ -369,6 +371,9 @@ def cmd_tune(args, cfg) -> int:
         ([i, score, "x".join(map(str, c.hidden_layers)),
           "x".join(f"{d:g}" for d in c.dropout), f"{c.learning_rate:g}",
           c.activation, c.initializer] for i, (c, score) in enumerate(log)))
+    if best_cfg is None:
+        raise SurrogateError(f"no trial of {cfg['trials']} scored a finite "
+                             "cross-validated R2")
     print(f"best of {cfg['trials']} trials: mean CV R2 = {best_score:.4f}")
     print(f"  layers={best_cfg.hidden_layers} act={best_cfg.activation} "
           f"init={best_cfg.initializer} lr={best_cfg.learning_rate:g} "

@@ -99,27 +99,14 @@ ACTIVATIONS = {
 }
 
 
-def _init_scale(name: str, fan_in: int, fan_out: int) -> tuple[str, float]:
-    """Return (distribution, scale) for one of the six standard initializers."""
-    if "_" not in name:
-        raise SurrogateError(f"unknown initializer {name!r}")
-    family, dist = name.rsplit("_", 1)
-    if family == "glorot":
-        var = 2.0 / (fan_in + fan_out)
-    elif family == "he":
-        var = 2.0 / fan_in
-    elif family == "lecun":
-        var = 1.0 / fan_in
-    else:
-        raise SurrogateError(f"unknown initializer {name!r}")
-    if dist == "normal":
-        return "normal", np.sqrt(var)
-    if dist == "uniform":
-        return "uniform", np.sqrt(3.0 * var)
-    raise SurrogateError(f"unknown initializer {name!r}")
+# Weight variance of each initializer family, from (fan_in, fan_out).
+_VARIANCE = {
+    "glorot": lambda fan_in, fan_out: 2.0 / (fan_in + fan_out),
+    "he": lambda fan_in, fan_out: 2.0 / fan_in,
+    "lecun": lambda fan_in, fan_out: 1.0 / fan_in,
+}
 
-
-INITIALIZERS = tuple(f"{fam}_{dist}" for fam in ("glorot", "he", "lecun")
+INITIALIZERS = tuple(f"{fam}_{dist}" for fam in _VARIANCE
                      for dist in ("normal", "uniform"))
 
 
@@ -150,7 +137,8 @@ class MlpConfig:
             raise SurrogateError("dropout rates must be in [0, 0.8], one per layer")
         if self.activation not in ACTIVATIONS:
             raise SurrogateError(f"unknown activation {self.activation!r}")
-        _init_scale(self.initializer, 1, 1)
+        if self.initializer not in INITIALIZERS:
+            raise SurrogateError(f"unknown initializer {self.initializer!r}")
         if not 1e-4 <= self.learning_rate <= 8e-2:
             raise SurrogateError("learning rate outside the assessed range")
 
@@ -183,11 +171,13 @@ class MlpModel:
         views = np.split(self.theta, np.cumsum(lengths)[:-1])
         self.W = [w.reshape(shape) for w, shape in zip(views, shapes)]
         self.b = views[len(shapes):]
+        family, dist = config.initializer.rsplit("_", 1)
         for W in self.W:
-            dist, scale = _init_scale(config.initializer, *W.shape)
+            var = _VARIANCE[family](*W.shape)
             if dist == "normal":
-                W[...] = rng.normal(0.0, scale, size=W.shape)
+                W[...] = rng.normal(0.0, np.sqrt(var), size=W.shape)
             else:
+                scale = np.sqrt(3.0 * var)
                 W[...] = rng.uniform(-scale, scale, size=W.shape)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -198,10 +188,7 @@ class MlpModel:
         if A.shape[1] != self.n_inputs:
             raise SurrogateError(
                 f"input width {A.shape[1]} != model input {self.n_inputs}")
-        act = ACTIVATIONS[self.config.activation][0]
-        for W, b in zip(self.W[:-1], self.b[:-1]):
-            A = act(A @ W + b)
-        out = A @ self.W[-1] + self.b[-1]
+        out = self._layers(A)[0]
         return out[0] if single else out
 
     def predict(self, X_raw: np.ndarray) -> np.ndarray:
@@ -214,49 +201,42 @@ class MlpModel:
         """Per-layer views into ``theta``: all weights, then all biases."""
         return self.W + self.b
 
-    # -- training internals -------------------------------------------------
+    def _layers(self, A, rng=None):
+        """The layer loop behind both ``forward`` and ``gradients``.
 
-    def _forward_train(self, X, rng):
-        """Forward pass keeping pre-activations; inverted dropout on hidden layers."""
+        Returns the output, the last hidden activation and, per hidden layer,
+        (input, pre-activation, dropout mask). Inverted dropout runs only when
+        ``rng`` is given; elsewhere the mask is None.
+        """
         act = ACTIVATIONS[self.config.activation][0]
-        A = X
-        zs, acts, masks = [], [A], []
-        for li, (W, b) in enumerate(zip(self.W[:-1], self.b[:-1])):
+        cache = []
+        for W, b, p in zip(self.W[:-1], self.b[:-1], self.config.dropout):
             Z = A @ W + b
-            A = act(Z)
-            p = self.config.dropout[li]
-            if p > 0.0:
-                mask = (rng.random(A.shape) >= p) / (1.0 - p)
-                A = A * mask
-            else:
-                mask = None
-            zs.append(Z)
-            acts.append(A)
-            masks.append(mask)
-        out = A @ self.W[-1] + self.b[-1]
-        return out, zs, acts, masks
+            mask = None
+            if rng is not None and p > 0.0:
+                mask = (rng.random(Z.shape) >= p) / (1.0 - p)
+            cache.append((A, Z, mask))
+            A = act(Z) if mask is None else act(Z) * mask
+        return A @ self.W[-1] + self.b[-1], A, cache
 
     def gradients(self, X, Y, rng=None):
         """MSE loss and its gradients w.r.t. all weights and biases."""
         if rng is None:
             rng = np.random.Generator(np.random.PCG64(0))
         dact = ACTIVATIONS[self.config.activation][1]
-        out, zs, acts, masks = self._forward_train(X, rng)
-        n = len(X)
+        out, H, cache = self._layers(X, rng)
         loss = float(np.mean((out - Y) ** 2))
         # d(loss)/d(out); MSE averaged over samples and outputs
-        delta = 2.0 * (out - Y) / (n * self.n_outputs)
-        gW = [None] * len(self.W)
-        gb = [None] * len(self.b)
-        gW[-1] = acts[-1].T @ delta
-        gb[-1] = delta.sum(axis=0)
-        for li in range(len(self.W) - 2, -1, -1):
-            delta = delta @ self.W[li + 1].T
-            if masks[li] is not None:
-                delta = delta * masks[li]
-            delta = delta * dact(zs[li])
-            gW[li] = acts[li].T @ delta
-            gb[li] = delta.sum(axis=0)
+        delta = 2.0 * (out - Y) / (len(X) * self.n_outputs)
+        gW = [H.T @ delta]
+        gb = [delta.sum(axis=0)]
+        for (A, Z, mask), W in zip(reversed(cache), reversed(self.W[1:])):
+            delta = delta @ W.T
+            if mask is not None:
+                delta = delta * mask
+            delta = delta * dact(Z)
+            gW.insert(0, A.T @ delta)
+            gb.insert(0, delta.sum(axis=0))
         return loss, gW + gb
 
 
@@ -379,7 +359,7 @@ _LEARNING_RATES = tuple(x * 10.0 ** -y for y in (2, 3, 4) for x in (1, 2, 4, 6, 
 def _sample_config(rng: np.random.Generator) -> MlpConfig:
     n_layers = int(rng.integers(1, 6))
     widths = tuple(int(2 * rng.integers(1, 17)) for _ in range(n_layers))
-    dropout = tuple(0.1 * int(rng.integers(0, 9)) for _ in range(n_layers))
+    dropout = tuple(int(rng.integers(0, 9)) / 10 for _ in range(n_layers))
     lr = float(_LEARNING_RATES[rng.integers(len(_LEARNING_RATES))])
     activation = list(ACTIVATIONS)[rng.integers(len(ACTIVATIONS))]
     initializer = INITIALIZERS[rng.integers(len(INITIALIZERS))]
@@ -464,6 +444,8 @@ def load_model(path) -> MlpModel:
                                  "config")
             for p, a in zip(params, stored):
                 p[...] = a
+            if not np.all(np.isfinite(model.theta)):
+                raise ValueError("weights and biases must be finite")
             for key, width in (("x_scaler", model.n_inputs),
                                ("y_scaler", model.n_outputs)):
                 if doc[key]:
@@ -471,6 +453,10 @@ def load_model(path) -> MlpModel:
                     if scaler.mins.shape != (width,) \
                             or scaler.maxs.shape != (width,):
                         raise ValueError(f"{key} needs {width} mins and maxs")
+                    lo, hi = scaler.mins, scaler.maxs
+                    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
+                        raise ValueError(f"{key} needs finite mins below "
+                                         "its maxs")
                     setattr(model, key, scaler)
             model.meta = doc.get("meta", {})
             if not isinstance(model.meta, dict) \

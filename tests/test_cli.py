@@ -96,6 +96,20 @@ class TestExitCodes:
     def test_usage_error_is_2(self):
         assert main(["sample", "--config", "missing.cfg"]) == 2
 
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_negative_seed_is_2(self, capsys, monkeypatch, source):
+        argv = ["sample", "--samples", "30"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "file":
+            open("neg.cfg", "w").write("seed = -1\n")
+            argv += ["--config", "neg.cfg"]
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, "-2")
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists("samples.csv")
+
     def test_config_that_is_not_utf8_is_2_and_named(self, capsys):
         open("binary.cfg", "wb").write(b"\xffseed = 3\n")
         assert main(["sample", "--config", "binary.cfg"]) == 2
@@ -154,9 +168,28 @@ class TestExitCodes:
         assert main(["tune", "--config", "run.cfg", flag, value]) == 2
         assert flag in capsys.readouterr().err
 
+    def test_tune_without_a_finite_trial_is_4_and_keeps_the_log(self, capsys):
+        # cp alternates between two values, so some fold's held-out cp is
+        # constant and the one trial scores -inf.
+        with open("run.cfg", "a") as fh:
+            fh.write("samples = 14\n")
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        rows = open("samples.csv").read().splitlines()[2:]
+        open("ext.csv", "w").write(DATA_HEADER + "".join(
+            f"{x},{0.8 + 0.1 * (i % 2):g},{0.1 + 0.01 * i:g}\n"
+            for i, x in enumerate(rows)))
+        assert main(["evaluate", "--config", "run.cfg",
+                     "--external", "ext.csv"]) == 0
+        assert main(["tune", "--config", "run.cfg", "--lof-k", "3",
+                     "--lof-threshold", "100", "--trials", "1", "--epochs",
+                     "2", "--patience", "1"]) == 4
+        assert "no trial of 1 scored a finite" in capsys.readouterr().err
+        assert open("tuning.csv").read().splitlines()[2].startswith("0,-inf,")
+
     @pytest.mark.parametrize("damage", ["truncated", "dropped-layer",
                                         "short-x-scaler", "meta-list",
-                                        "lineage-number"])
+                                        "lineage-number", "nan-bias",
+                                        "flat-x-scaler"])
     def test_malformed_model_is_3_and_named(self, capsys, damage):
         model = surrogate.MlpModel(18, surrogate.TUNED_SCENARIO_II)
         model.x_scaler = MinMaxScaler(np.zeros(18), np.ones(18))
@@ -174,6 +207,10 @@ class TestExitCodes:
                 doc["meta"] = []
             elif damage == "lineage-number":
                 doc["meta"] = {"lineage": 5}
+            elif damage == "nan-bias":
+                doc["biases"][0][0] = float("nan")
+            elif damage == "flat-x-scaler":
+                doc["x_scaler"]["maxs"][4] = doc["x_scaler"]["mins"][4]
             else:
                 del doc["x_scaler"]["mins"][-1]
             body = json.dumps(doc)

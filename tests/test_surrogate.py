@@ -12,6 +12,7 @@ from drafttube.surrogate import (
     SurrogateError,
     TUNED_SCENARIO_I,
     TUNED_SCENARIO_II,
+    _sample_config,
     load_model,
     metrics,
     save_model,
@@ -266,6 +267,11 @@ class TestTune:
                              patience=1)
         assert score == -np.inf
         assert all(s == -np.inf for _, s in log)
+
+    def test_sampled_dropout_rates_are_exact_tenths(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        rates = {p for _ in range(100) for p in _sample_config(rng).dropout}
+        assert rates == {k / 10 for k in range(9)}
 
     def test_rejects_zero_trials(self):
         X, Y = toy_data(n=30)

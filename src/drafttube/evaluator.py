@@ -74,10 +74,11 @@ class OracleConstants:
 def _curvature_penalty(design: DraftTubeDesign) -> float:
     """RMS second derivative of the roof, floor and width profiles."""
     xs, roof_y, floor_y, w = geometry.station_profiles(design)
+    d2 = geometry.station_gradient(
+        geometry.station_gradient(np.stack([roof_y, floor_y, w]), xs), xs)
     total = 0.0
-    for prof in (roof_y, floor_y, w):
-        d2 = np.gradient(np.gradient(prof, xs), xs)
-        total += float(np.sqrt(np.mean(d2 ** 2)))
+    for row in d2:
+        total += float(np.sqrt(np.mean(row ** 2)))
     return total / 3.0
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "eval_curve",
     "synthesize",
     "areas",
+    "station_gradient",
     "load_reference",
     "scenario_bounds",
     "N_STATIONS",
@@ -92,7 +93,8 @@ def basis_matrix(curve_knots, n_ctrl: int, k: int, ts) -> np.ndarray:
                               ts.tobytes(), ts.shape)
 
 
-# Each scenario asks for about three distinct matrices (roof, floor, width).
+# Each scenario asks for about three distinct matrices (roof, floor, width),
+# dense parameter grids and one station grid; the caches below share the size.
 _BASIS_CACHE_SIZE = 16
 
 
@@ -247,10 +249,16 @@ def scenario_bounds(scenario: str) -> tuple[np.ndarray, np.ndarray]:
     return lb, ub
 
 
-def _dense_x(curve: BSplineCurve, n: int = _N_DENSE) -> np.ndarray:
-    lo, hi = curve.domain
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _dense_ts(lo: float, hi: float, n: int) -> np.ndarray:
+    """The dense parameter grid of a curve domain, shared and read-only."""
     ts = np.linspace(lo, hi, n)
-    return eval_curve(curve, ts)[:, 0]
+    ts.flags.writeable = False
+    return ts
+
+
+def _dense_x(curve: BSplineCurve, n: int = _N_DENSE) -> np.ndarray:
+    return eval_curve(curve, _dense_ts(*curve.domain, n))[:, 0]
 
 
 def _curve_y(curve: BSplineCurve, xs, n: int = _N_DENSE) -> np.ndarray:
@@ -260,9 +268,7 @@ def _curve_y(curve: BSplineCurve, xs, n: int = _N_DENSE) -> np.ndarray:
     curve is a graph over the station axis; a dense sample plus linear
     interpolation inverts it.
     """
-    lo, hi = curve.domain
-    ts = np.linspace(lo, hi, n)
-    pts = eval_curve(curve, ts)
+    pts = eval_curve(curve, _dense_ts(*curve.domain, n))
     return np.interp(xs, pts[:, 0], pts[:, 1])
 
 
@@ -303,6 +309,46 @@ def synthesize(reference: ReferenceGeometry, x: DesignVector) -> DraftTubeDesign
     return DraftTubeDesign(roof, floor, width, xs, w, h, r_out)
 
 
+def station_gradient(F, xs) -> np.ndarray:
+    """``np.gradient(F, xs, axis=-1)`` for a ``(..., len(xs))`` stack.
+
+    Second-order central differences inside, first-order one-sided ones at
+    the two ends, with numpy's own coefficient expressions, so the result is
+    bit-identical to ``np.gradient`` (its uniform-spacing branch included).
+    Every design shares one station grid, so the coefficients are memoized
+    on the exact bytes of ``xs``, as ``basis_matrix`` is.
+    """
+    F = np.asarray(F, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or len(xs) < 2 or F.shape[-1:] != xs.shape:
+        raise GeometryError("station_gradient needs an (..., n) stack over "
+                            "n >= 2 stations")
+    abc, dx_0, dx_n = _memo_stencil(xs.tobytes())
+    out = np.empty_like(F)
+    if abc is None:
+        out[..., 1:-1] = (F[..., 2:] - F[..., :-2]) / (2. * dx_0)
+    else:
+        a, b, c = abc
+        out[..., 1:-1] = a * F[..., :-2] + b * F[..., 1:-1] + c * F[..., 2:]
+    out[..., 0] = (F[..., 1] - F[..., 0]) / dx_0
+    out[..., -1] = (F[..., -1] - F[..., -2]) / dx_n
+    return out
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _memo_stencil(xs_bytes: bytes):
+    """(a, b, c) interior rows, or None on a uniform grid, and the end steps."""
+    dx = np.diff(np.frombuffer(xs_bytes))
+    if (dx == dx[0]).all():
+        return None, dx[0], dx[0]
+    dx1, dx2 = dx[:-1], dx[1:]
+    abc = np.stack([-dx2 / (dx1 * (dx1 + dx2)),
+                    (dx2 - dx1) / (dx1 * dx2),
+                    dx1 / (dx2 * (dx1 + dx2))])
+    abc.flags.writeable = False
+    return abc, dx[0], dx[-1]
+
+
 def station_profiles(design: DraftTubeDesign):
     """Roof, floor and width values sampled at the design's stations."""
     xs = design.xs
@@ -327,8 +373,7 @@ def areas(design: DraftTubeDesign) -> dict:
     floor_y = _curve_y(design.floor, xs)
     mid = 0.5 * (roof_y + floor_y)
     length = float(np.sum(np.sqrt(np.diff(xs) ** 2 + np.diff(mid) ** 2)))
-    dh = np.gradient(h, xs)
-    dw = np.gradient(w, xs)
+    dh, dw = station_gradient(np.stack([h, w]), xs)
     slope = float(np.mean(np.arctan(0.5 * (np.abs(dh) + np.abs(dw)))))
     return {"A_in": float(a_in), "A_out": float(a_out),
             "length": length, "mean_slope": slope}

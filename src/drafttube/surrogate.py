@@ -406,15 +406,20 @@ def tune(X_train, Y_train, trials: int = 500, seed: int = 0, k: int = 5,
 # ---------------------------------------------------------------------------
 
 def save_model(model: MlpModel, path) -> None:
-    """Write the model as a magic header line followed by a JSON document."""
+    """Write the model as a magic header line followed by a JSON document.
+
+    ``load_model`` needs both scalers, so a model without them is refused.
+    """
+    if model.x_scaler is None or model.y_scaler is None:
+        raise SurrogateError("model has no attached scaler state")
     doc = {
         "n_inputs": model.n_inputs,
         "n_outputs": model.n_outputs,
         "config": asdict(model.config),
         "weights": [W.tolist() for W in model.W],
         "biases": [b.tolist() for b in model.b],
-        "x_scaler": model.x_scaler.to_dict() if model.x_scaler else None,
-        "y_scaler": model.y_scaler.to_dict() if model.y_scaler else None,
+        "x_scaler": model.x_scaler.to_dict(),
+        "y_scaler": model.y_scaler.to_dict(),
         "meta": model.meta,
     }
     with open(path, "w") as fh:
@@ -448,16 +453,18 @@ def load_model(path) -> MlpModel:
                 raise ValueError("weights and biases must be finite")
             for key, width in (("x_scaler", model.n_inputs),
                                ("y_scaler", model.n_outputs)):
-                if doc[key]:
-                    scaler = MinMaxScaler.from_dict(doc[key])
-                    if scaler.mins.shape != (width,) \
-                            or scaler.maxs.shape != (width,):
-                        raise ValueError(f"{key} needs {width} mins and maxs")
-                    lo, hi = scaler.mins, scaler.maxs
-                    if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
-                        raise ValueError(f"{key} needs finite mins below "
-                                         "its maxs")
-                    setattr(model, key, scaler)
+                if not isinstance(doc[key], dict):
+                    raise ValueError(f"{key} must be an object with mins "
+                                     "and maxs")
+                scaler = MinMaxScaler.from_dict(doc[key])
+                if scaler.mins.shape != (width,) \
+                        or scaler.maxs.shape != (width,):
+                    raise ValueError(f"{key} needs {width} mins and maxs")
+                lo, hi = scaler.mins, scaler.maxs
+                if not np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)):
+                    raise ValueError(f"{key} needs finite mins below "
+                                     "its maxs")
+                setattr(model, key, scaler)
             model.meta = doc.get("meta", {})
             if not isinstance(model.meta, dict) \
                     or not isinstance(model.meta.get("lineage", {}), dict):

@@ -189,7 +189,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("damage", ["truncated", "dropped-layer",
                                         "short-x-scaler", "meta-list",
                                         "lineage-number", "nan-bias",
-                                        "flat-x-scaler"])
+                                        "flat-x-scaler", "null-x-scaler",
+                                        "null-y-scaler"])
     def test_malformed_model_is_3_and_named(self, capsys, damage):
         model = surrogate.MlpModel(18, surrogate.TUNED_SCENARIO_II)
         model.x_scaler = MinMaxScaler(np.zeros(18), np.ones(18))
@@ -211,6 +212,10 @@ class TestExitCodes:
                 doc["biases"][0][0] = float("nan")
             elif damage == "flat-x-scaler":
                 doc["x_scaler"]["maxs"][4] = doc["x_scaler"]["mins"][4]
+            elif damage == "null-x-scaler":
+                doc["x_scaler"] = None
+            elif damage == "null-y-scaler":
+                doc["y_scaler"] = None
             else:
                 del doc["x_scaler"]["mins"][-1]
             body = json.dumps(doc)

@@ -47,6 +47,14 @@ class TestSyntheticOracle:
                     (0.7112798742543296, 0.15977068410536405),
                     (0.7098359554867901, 0.16115400125061494),
                     (0.6476679879347557, 0.17534522171343037)],
+            "I.a": [(0.8190000000119014, 0.1309999999972458),
+                    (0.7721760152341328, 0.17811883128333098),
+                    (0.7778621854355321, 0.17231353736357843),
+                    (0.6941576509013108, 0.195048888514269)],
+            "II.b": [(0.8190000000119014, 0.1309999999972458),
+                     (0.5516205439551056, 0.17360851598606422),
+                     (0.7098359554867901, 0.16115400125061494),
+                     (0.6122426666136008, 0.1852805172275212)],
         }
         for scenario, values in expected.items():
             lb, ub = scenario_bounds(scenario)

@@ -301,3 +301,57 @@ class TestAreas:
         assert bulk["A_out"] > bulk["A_in"] > 0  # the duct is a diffuser
         assert bulk["length"] >= design.xs[-1] - design.xs[0]
         assert 0.0 <= bulk["mean_slope"] < np.pi / 2
+
+
+def _station_grids():
+    """Each scenario's station grid, two uniform grids and a random
+    increasing one."""
+    reference = load_reference()
+    grids = {}
+    for scenario in ("I.a", "I.b", "II.a", "II.b"):
+        lb, ub = scenario_bounds(scenario)
+        grids[scenario] = synthesize(
+            reference, DesignVector(np.zeros_like(lb), lb, ub)).xs
+    grids["uniform"] = np.arange(84.0)
+    # A spacing that is not a power of two, so that multiplying by a
+    # reciprocal cannot stand in for numpy's division.
+    grids["uniform-3"] = 3.0 * np.arange(84.0)
+    rng = np.random.Generator(np.random.PCG64(5))
+    grids["random"] = np.cumsum(rng.uniform(0.05, 1.0, 84))
+    return grids
+
+
+class TestStationGradient:
+    @pytest.mark.parametrize("grid", ["I.a", "I.b", "II.a", "II.b",
+                                      "uniform", "uniform-3", "random"])
+    @pytest.mark.parametrize("shape", [(84,), (3, 84)])
+    def test_equals_numpy_gradient_bitwise(self, grid, shape):
+        xs = _station_grids()[grid]
+        rng = np.random.Generator(np.random.PCG64(len(shape)))
+        F = rng.normal(size=shape)
+        expected = np.gradient(F, xs, axis=-1)
+        assert geometry.station_gradient(F, xs).tobytes() == expected.tobytes()
+        # Applied twice, as the curvature penalty does.
+        assert (geometry.station_gradient(geometry.station_gradient(F, xs), xs)
+                .tobytes() == np.gradient(expected, xs, axis=-1).tobytes())
+
+    def test_uniform_grid_takes_the_uniform_branch(self):
+        abc, dx_0, dx_n = geometry._memo_stencil(np.arange(84.0).tobytes())
+        assert abc is None and dx_0 == dx_n == 1.0
+
+    def test_coefficients_are_shared_and_read_only(self):
+        xs = _station_grids()["II.a"]
+        geometry._memo_stencil.cache_clear()
+        for _ in range(3):
+            geometry.station_gradient(np.ones(84), xs.copy())
+        assert geometry._memo_stencil.cache_info().hits == 2
+        abc = geometry._memo_stencil(xs.tobytes())[0]
+        with pytest.raises(ValueError):
+            abc[0, 0] = 1.0
+
+    @pytest.mark.parametrize("F, xs", [(np.ones(83), np.arange(84.0)),
+                                       (np.ones((3, 84)), np.ones((2, 42))),
+                                       (np.ones(1), np.zeros(1))])
+    def test_rejects_mismatched_shapes(self, F, xs):
+        with pytest.raises(GeometryError):
+            geometry.station_gradient(F, xs)

@@ -333,6 +333,13 @@ class TestPersistence:
         with pytest.raises(SurrogateError, match="model.json"):
             load_model(path)
 
+    def test_save_without_scalers_fails(self, tmp_path):
+        model = MlpModel(4, MlpConfig((8,)), seed=0)
+        model.x_scaler = MinMaxScaler(np.zeros(4), np.ones(4))
+        with pytest.raises(SurrogateError, match="no attached scaler"):
+            save_model(model, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
     def test_predict_without_scalers_fails(self):
         model = MlpModel(4, MlpConfig((8,)), seed=0)
         with pytest.raises(SurrogateError):

@@ -217,14 +217,23 @@ def check_design_rows(path, X: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 def evaluate_samples(X: np.ndarray, lb, ub) -> np.ndarray:
-    """Map sample rows through the synthetic oracle, preserving order."""
+    """Map sample rows through the synthetic oracle, preserving order.
+
+    A row that fails raises its error again, of the same type, with the
+    row's 1-based index in front of the message.
+    """
     reference = geometry.load_reference()
     constants = evaluator.OracleConstants.load()
+    lb = np.asarray(lb, dtype=float)
+    ub = np.asarray(ub, dtype=float)
     Y = np.empty((len(X), 2))
     for i, row in enumerate(X):
-        design = geometry.synthesize(reference,
-                                     geometry.DesignVector(row, lb, ub))
-        obj = evaluator.synthetic_cfd(design, constants)
+        try:
+            design = geometry.synthesize(reference,
+                                         geometry.DesignVector(row, lb, ub))
+            obj = evaluator.synthetic_cfd(design, constants)
+        except (GeometryError, EvaluationError) as exc:
+            raise type(exc)(f"row {i + 1}: {exc}") from None
         Y[i] = obj.cp, obj.cd
     return Y
 

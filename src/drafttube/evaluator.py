@@ -74,12 +74,11 @@ class OracleConstants:
 def _curvature_penalty(design: DraftTubeDesign) -> float:
     """RMS second derivative of the roof, floor and width profiles."""
     xs, roof_y, floor_y, w = geometry.station_profiles(design)
-    d2 = geometry.station_gradient(
-        geometry.station_gradient(np.stack([roof_y, floor_y, w]), xs), xs)
-    total = 0.0
-    for row in d2:
-        total += float(np.sqrt(np.mean(row ** 2)))
-    return total / 3.0
+    d2 = geometry.station_gradient(geometry.station_gradient(
+        np.concatenate((roof_y[None], floor_y[None], w[None])), xs), xs)
+    roof, floor, width = np.sqrt((d2 ** 2).mean(axis=-1)).tolist()
+    # Summed left to right: the objectives' bytes depend on this order.
+    return (roof + floor + width) / 3.0
 
 
 def synthetic_cfd(design: DraftTubeDesign,

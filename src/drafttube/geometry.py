@@ -73,10 +73,16 @@ class BSplineCurve:
         return float(self.knots[self.k - 1]), float(self.knots[len(self.control_points)])
 
     def with_offsets(self, dy: np.ndarray) -> "BSplineCurve":
-        """Return a copy with per-control-point vertical offsets applied."""
+        """Return a copy with per-control-point vertical offsets applied.
+
+        Only y moves, so the copy shares this curve's checked order and knots
+        and keeps its shape; the constructor's checks are not run again.
+        """
         cp = self.control_points.copy()
         cp[:, 1] += dy
-        return BSplineCurve(self.k, cp, self.knots)
+        moved = object.__new__(BSplineCurve)
+        moved.__dict__.update(self.__dict__, control_points=cp)
+        return moved
 
 
 def basis_matrix(curve_knots, n_ctrl: int, k: int, ts) -> np.ndarray:
@@ -88,9 +94,20 @@ def basis_matrix(curve_knots, n_ctrl: int, k: int, ts) -> np.ndarray:
     matrix is shared between callers and therefore read-only.
     """
     knots = np.asarray(curve_knots, dtype=float)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.asarray(ts, dtype=float)
+    if not ts.ndim:
+        ts = ts.reshape(1)
     return _memo_basis_matrix(knots.tobytes(), int(n_ctrl), int(k),
-                              ts.tobytes(), ts.shape)
+                              _exact_bytes(ts), ts.shape)
+
+
+def _exact_bytes(a: np.ndarray) -> bytes:
+    """``a.tobytes()``, without the copy for an array that is all of an
+    immutable bytes object (the shared grids below), whose hash is kept."""
+    base = a.base
+    if type(base) is bytes and a.nbytes == len(base) and a.flags.c_contiguous:
+        return base
+    return a.tobytes()
 
 
 # Each scenario asks for about three distinct matrices (roof, floor, width),
@@ -154,10 +171,14 @@ def eval_curve(curve: BSplineCurve, t) -> np.ndarray:
 _KINDS = ("circular", "ellipsoidal", "rounded-rectangle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceGeometry:
     """Baseline design: roof/floor/width curves plus the corner radii of the
-    reference sections at their station coordinates ``xs``."""
+    reference sections at their station coordinates ``xs``.
+
+    Equality is identity, so a reference can key the station-grid memo; the
+    station arrays are read-only copies, so a memoized lookup cannot go stale.
+    """
 
     roof: BSplineCurve
     floor: BSplineCurve
@@ -167,6 +188,10 @@ class ReferenceGeometry:
     r_f: np.ndarray
 
     def __post_init__(self):
+        for name in ("xs", "r_r", "r_f"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if len(self.roof.control_points) != 9 or len(self.floor.control_points) != 9:
             raise GeometryError("roof and floor curves need exactly 9 control points")
         if len(self.width.control_points) != 6:
@@ -199,9 +224,13 @@ class DesignVector:
             raise GeometryError(f"design vector length must be 14 or 18, got {len(x)}")
         if lb.shape != x.shape or ub.shape != x.shape:
             raise GeometryError("bounds must match the offset vector shape")
-        if np.any(lb > ub):
+        finite = np.isfinite((x, lb, ub))
+        if not finite.all():
+            j = int(finite.all(axis=0).argmin()) + 1
+            raise GeometryError(f"component {j}: offset or bound is not finite")
+        if (lb > ub).any():
             raise GeometryError("lower bound exceeds upper bound")
-        if np.any(x < lb - 1e-12) or np.any(x > ub + 1e-12):
+        if (x < lb - 1e-12).any() or (x > ub + 1e-12).any():
             raise GeometryError("offset outside its bounds")
 
     @property
@@ -251,14 +280,33 @@ def scenario_bounds(scenario: str) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _dense_ts(lo: float, hi: float, n: int) -> np.ndarray:
-    """The dense parameter grid of a curve domain, shared and read-only."""
-    ts = np.linspace(lo, hi, n)
-    ts.flags.writeable = False
-    return ts
+    """``np.linspace(lo, hi, n)``, shared: a view of immutable bytes, so it
+    is read-only for good and serves as its own memo key."""
+    return np.frombuffer(np.linspace(lo, hi, n).tobytes())
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _station_grid(reference: ReferenceGeometry, lo: float, hi: float):
+    """The shared N_STATIONS grid from ``lo`` to ``hi`` and the reference's
+    roof and floor corner radii at its outlet station ``hi``.
+
+    Control-point x never moves, so every design of a reference asks for the
+    same endpoints; the memo is keyed on their exact floats all the same.
+    """
+    return (_dense_ts(lo, hi, N_STATIONS),
+            np.interp(hi, reference.xs, reference.r_r),
+            np.interp(hi, reference.xs, reference.r_f))
+
+
+def _dense_points(curve: BSplineCurve, n: int = _N_DENSE) -> np.ndarray:
+    """``eval_curve`` at the shared dense grid of the curve's domain."""
+    ts = _dense_ts(*curve.domain, n)
+    return basis_matrix(curve.knots, len(curve.control_points), curve.k,
+                        ts) @ curve.control_points
 
 
 def _dense_x(curve: BSplineCurve, n: int = _N_DENSE) -> np.ndarray:
-    return eval_curve(curve, _dense_ts(*curve.domain, n))[:, 0]
+    return _dense_points(curve, n)[:, 0]
 
 
 def _curve_y(curve: BSplineCurve, xs, n: int = _N_DENSE) -> np.ndarray:
@@ -268,8 +316,12 @@ def _curve_y(curve: BSplineCurve, xs, n: int = _N_DENSE) -> np.ndarray:
     curve is a graph over the station axis; a dense sample plus linear
     interpolation inverts it.
     """
-    pts = eval_curve(curve, _dense_ts(*curve.domain, n))
+    pts = _dense_points(curve, n)
     return np.interp(xs, pts[:, 0], pts[:, 1])
+
+
+# Offsets of the first two control points of every curve: they stay fixed.
+_FIXED = np.zeros(2)
 
 
 def synthesize(reference: ReferenceGeometry, x: DesignVector) -> DraftTubeDesign:
@@ -280,33 +332,30 @@ def synthesize(reference: ReferenceGeometry, x: DesignVector) -> DraftTubeDesign
     curve stay fixed. Raises if the roof crosses the floor anywhere.
     """
     off = x.offsets
-    roof_dy = np.concatenate([[0.0, 0.0], off[0:7]])
-    floor_dy = np.concatenate([[0.0, 0.0], off[7:14]])
+    roof = reference.roof.with_offsets(np.concatenate((_FIXED, off[0:7])))
+    floor = reference.floor.with_offsets(np.concatenate((_FIXED, off[7:14])))
     if x.dim == 18:
-        width_dy = np.concatenate([[0.0, 0.0], off[14:18]])
+        width_dy = np.concatenate((_FIXED, off[14:18]))
     else:
         width_dy = np.zeros(6)
-    roof = reference.roof.with_offsets(roof_dy)
-    floor = reference.floor.with_offsets(floor_dy)
     width = reference.width.with_offsets(width_dy)
 
     xs_r = _dense_x(roof)
-    xs = np.linspace(xs_r[0], xs_r[-1], N_STATIONS)
+    # The outlet's radii interpolate between adjacent reference sections.
+    xs, r_r, r_f = _station_grid(reference, float(xs_r[0]), float(xs_r[-1]))
     roof_y = _curve_y(roof, xs)
     floor_y = _curve_y(floor, xs)
-    if np.any(roof_y <= floor_y):
+    if (roof_y <= floor_y).any():
         raise GeometryError("roof crosses the floor for this offset vector")
     w = _curve_y(width, xs)
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise GeometryError("non-positive duct width for this offset vector")
     h = 0.5 * (roof_y - floor_y)
 
-    # The outlet's radii interpolate between adjacent reference sections,
-    # clamped so the rounded corners fit inside the section.
-    lim = np.minimum(w[-1], h[-1])
-    r_out = (np.minimum(np.interp(xs[-1], reference.xs, reference.r_r), lim),
-             np.minimum(np.interp(xs[-1], reference.xs, reference.r_f), lim))
-    return DraftTubeDesign(roof, floor, width, xs, w, h, r_out)
+    # Clamp the radii so the rounded corners fit inside the section.
+    lim = min(w[-1], h[-1])
+    return DraftTubeDesign(roof, floor, width, xs, w, h,
+                           (min(r_r, lim), min(r_f, lim)))
 
 
 def station_gradient(F, xs) -> np.ndarray:
@@ -316,28 +365,34 @@ def station_gradient(F, xs) -> np.ndarray:
     the two ends, with numpy's own coefficient expressions, so the result is
     bit-identical to ``np.gradient`` (its uniform-spacing branch included).
     Every design shares one station grid, so the coefficients are memoized
-    on the exact bytes of ``xs``, as ``basis_matrix`` is.
+    on the exact bytes of ``xs``, as ``basis_matrix`` is, and on the number
+    of profiles in the stack.
     """
-    F = np.asarray(F, dtype=float)
+    F = np.asarray(F, dtype=float, order="C")
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or len(xs) < 2 or F.shape[-1:] != xs.shape:
+    # Equal shapes leave xs 1-D, or 0-D with size 1.
+    if F.shape[-1:] != xs.shape or xs.size < 2:
         raise GeometryError("station_gradient needs an (..., n) stack over "
                             "n >= 2 stations")
-    abc, dx_0, dx_n = _memo_stencil(xs.tobytes())
+    abc, dx_0, dx_n = _memo_stencil(_exact_bytes(xs), F.size // xs.size)
     out = np.empty_like(F)
+    # The interior formula runs once along the flattened stack: an entry
+    # next to a row boundary mixes two rows, and the ends overwrite it.
+    f, g = F.reshape(-1), out.reshape(-1)
     if abc is None:
-        out[..., 1:-1] = (F[..., 2:] - F[..., :-2]) / (2. * dx_0)
+        g[1:-1] = (f[2:] - f[:-2]) / (2. * dx_0)
     else:
         a, b, c = abc
-        out[..., 1:-1] = a * F[..., :-2] + b * F[..., 1:-1] + c * F[..., 2:]
+        g[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
     out[..., 0] = (F[..., 1] - F[..., 0]) / dx_0
     out[..., -1] = (F[..., -1] - F[..., -2]) / dx_n
     return out
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _memo_stencil(xs_bytes: bytes):
-    """(a, b, c) interior rows, or None on a uniform grid, and the end steps."""
+def _memo_stencil(xs_bytes: bytes, rows: int):
+    """(a, b, c) along the interior of ``rows`` flattened profiles, zero
+    next to a row boundary, or None on a uniform grid; and the end steps."""
     dx = np.diff(np.frombuffer(xs_bytes))
     if (dx == dx[0]).all():
         return None, dx[0], dx[0]
@@ -345,6 +400,7 @@ def _memo_stencil(xs_bytes: bytes):
     abc = np.stack([-dx2 / (dx1 * (dx1 + dx2)),
                     (dx2 - dx1) / (dx1 * dx2),
                     dx1 / (dx2 * (dx1 + dx2))])
+    abc = np.tile(np.pad(abc, ((0, 0), (1, 1))), rows)[:, 1:-1].copy()
     abc.flags.writeable = False
     return abc, dx[0], dx[-1]
 
@@ -372,9 +428,10 @@ def areas(design: DraftTubeDesign) -> dict:
     roof_y = _curve_y(design.roof, xs)
     floor_y = _curve_y(design.floor, xs)
     mid = 0.5 * (roof_y + floor_y)
-    length = float(np.sum(np.sqrt(np.diff(xs) ** 2 + np.diff(mid) ** 2)))
-    dh, dw = station_gradient(np.stack([h, w]), xs)
-    slope = float(np.mean(np.arctan(0.5 * (np.abs(dh) + np.abs(dw)))))
+    length = float(np.sqrt((xs[1:] - xs[:-1]) ** 2
+                           + (mid[1:] - mid[:-1]) ** 2).sum())
+    dh, dw = station_gradient(np.concatenate((h[None], w[None])), xs)
+    slope = float(np.arctan(0.5 * (np.abs(dh) + np.abs(dw))).mean())
     return {"A_in": float(a_in), "A_out": float(a_out),
             "length": length, "mean_slope": slope}
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import warnings
@@ -135,6 +136,35 @@ class TestExitCodes:
         _set_x1("samples.csv", 3, value)
         assert main(["evaluate", "--config", "run.cfg"]) == 3
         assert where in capsys.readouterr().err
+
+    def test_failing_oracle_row_keeps_its_type_and_is_named(self):
+        lb, ub = np.full(14, -5.0), np.full(14, 5.0)
+        X = np.zeros((3, 14))
+        X[1] = np.r_[np.full(7, -2.0), np.full(7, 2.0)]
+        with pytest.raises(geometry.GeometryError,
+                           match="^row 2: roof crosses the floor"):
+            cli.evaluate_samples(X, lb, ub)
+
+    def test_oracle_geometry_failure_is_4_and_names_the_row(self, capsys,
+                                                            monkeypatch):
+        ref = geometry.load_reference()
+        cp = ref.width.control_points - (0.0, 2.0)
+        narrow = dataclasses.replace(ref, width=geometry.BSplineCurve(
+            ref.width.k, cp, ref.width.knots))
+        monkeypatch.setattr(geometry, "load_reference", lambda: narrow)
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        assert main(["evaluate", "--config", "run.cfg"]) == 4
+        assert "row 1: non-positive duct width" in capsys.readouterr().err
+
+    def test_non_finite_objective_is_3_and_names_the_row(self, capsys,
+                                                         monkeypatch):
+        inf_gain = dataclasses.replace(evaluator.OracleConstants.load(),
+                                       diffusion_gain=np.inf)
+        monkeypatch.setattr(evaluator.OracleConstants, "load",
+                            lambda: inf_gain)
+        assert main(["sample", "--config", "run.cfg"]) == 0
+        assert main(["evaluate", "--config", "run.cfg"]) == 3
+        assert "row 1: objectives must be finite" in capsys.readouterr().err
 
     def test_out_of_bounds_front_row_is_3_and_named(self, capsys):
         assert main(["sample", "--config", "run.cfg"]) == 0

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from drafttube import cli, doe
+from drafttube import cli, doe, geometry
 from drafttube.doe import read_samples_csv
 from drafttube.evaluator import (
     EvaluationError,
@@ -16,7 +16,69 @@ from drafttube.evaluator import (
     write_table,
     x_columns,
 )
-from drafttube.geometry import DesignVector, load_reference, scenario_bounds, synthesize
+from drafttube.geometry import (
+    BSplineCurve,
+    DesignVector,
+    load_reference,
+    scenario_bounds,
+    synthesize,
+)
+
+
+def _reference_oracle(X: np.ndarray) -> np.ndarray:
+    """The oracle's formulas written out plainly: curves built through the
+    checking constructor, a fresh station grid for every design, and
+    np.gradient, np.diff and np.mean in place of the shared helpers."""
+    ref = load_reference()
+    c = OracleConstants.load()
+
+    def moved(curve, dy):
+        cp = curve.control_points.copy()
+        cp[:, 1] += np.concatenate([[0.0, 0.0], dy])
+        return BSplineCurve(curve.k, cp, curve.knots)
+
+    def dense(curve):
+        ts = np.linspace(*curve.domain, 801)
+        return geometry._cox_de_boor_matrix(
+            curve.knots, len(curve.control_points), curve.k,
+            ts) @ curve.control_points
+
+    def height(curve, xs):
+        pts = dense(curve)
+        return np.interp(xs, pts[:, 0], pts[:, 1])
+
+    Y = np.empty((len(X), 2))
+    for i, x in enumerate(X):
+        roof = moved(ref.roof, x[0:7])
+        floor = moved(ref.floor, x[7:14])
+        width = moved(ref.width, x[14:18] if len(x) == 18 else np.zeros(4))
+        x_roof = dense(roof)[:, 0]
+        xs = np.linspace(x_roof[0], x_roof[-1], 84)
+        roof_y, floor_y, w = (height(roof, xs), height(floor, xs),
+                              height(width, xs))
+        h = 0.5 * (roof_y - floor_y)
+        lim = np.minimum(w[-1], h[-1])
+        r_r = np.minimum(np.interp(xs[-1], ref.xs, ref.r_r), lim)
+        r_f = np.minimum(np.interp(xs[-1], ref.xs, ref.r_f), lim)
+        a_in = float(np.pi * w[0] ** 2)
+        a_out = float(4.0 * w[-1] * h[-1]
+                      - (4.0 - np.pi) / 2.0 * (r_r ** 2 + r_f ** 2))
+        mid = 0.5 * (roof_y + floor_y)
+        length = float(np.sum(np.sqrt(np.diff(xs) ** 2 + np.diff(mid) ** 2)))
+        slope = float(np.mean(np.arctan(
+            0.5 * (np.abs(np.gradient(h, xs)) + np.abs(np.gradient(w, xs))))))
+        curvature = 0.0
+        for profile in (roof_y, floor_y, w):
+            d2 = np.gradient(np.gradient(profile, xs), xs)
+            curvature += float(np.sqrt(np.mean(d2 ** 2)))
+        curvature /= 3.0
+        ratio = a_in / a_out
+        Y[i] = (c.diffusion_gain * (1.0 - ratio ** 2)
+                - c.curvature_weight * curvature,
+                c.friction_coefficient * length / (2.0 * float(w[0]))
+                + c.slope_weight * slope ** 2
+                + c.curvature_weight * curvature)
+    return Y
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +124,14 @@ class TestSyntheticOracle:
                            doe.lhs(doe.DoePlan(1, lb, ub, seed=7))])
             np.testing.assert_allclose(cli.evaluate_samples(X, lb, ub),
                                        values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scenario", ["I.a", "I.b", "II.a", "II.b"])
+    def test_bytes_equal_the_reference_formulas(self, scenario):
+        lb, ub = scenario_bounds(scenario)
+        X = np.vstack([doe.lhs(doe.DoePlan(64, lb, ub, seed=35)),
+                       np.zeros_like(lb)])
+        assert np.array_equal(cli.evaluate_samples(X, lb, ub),
+                              _reference_oracle(X))
 
     def test_constants_are_loaded_from_data(self):
         c = OracleConstants.load()

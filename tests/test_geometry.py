@@ -1,3 +1,4 @@
+import dataclasses
 from importlib import resources
 
 import numpy as np
@@ -128,6 +129,17 @@ class TestBasisMemo:
         info = geometry._memo_basis_matrix.cache_info()
         assert info.currsize <= geometry._BASIS_CACHE_SIZE
 
+    def test_grid_of_immutable_bytes_is_its_own_key(self):
+        knots = clamped_knots(9, 3)
+        raw = np.linspace(0.0, 1.0, 801).tobytes()
+        grid = np.frombuffer(raw)
+        assert geometry._exact_bytes(grid) is raw
+        assert geometry._exact_bytes(grid[::2]) == grid[::2].tobytes()
+        assert geometry._exact_bytes(grid[1:]) == grid[1:].tobytes()
+        assert (basis_matrix(knots, 9, 3, grid).tobytes()
+                == basis_matrix(knots, 9, 3, grid.copy()).tobytes())
+        assert geometry._memo_basis_matrix.cache_info().hits == 1
+
     def test_out_of_range_raises_on_every_call(self):
         knots = clamped_knots(6, 3)
         for _ in range(3):
@@ -153,6 +165,19 @@ class TestCurve:
                                    curve.control_points[:, 0])
         np.testing.assert_allclose(
             moved.control_points[:, 1] - curve.control_points[:, 1], dy)
+
+    def test_offset_copy_keeps_the_checked_shape_and_knots(self):
+        curve = make_curve(seed=7)
+        moved = curve.with_offsets(np.full(len(curve.control_points), 0.1))
+        assert type(moved) is BSplineCurve and moved.k == curve.k
+        assert moved.knots is curve.knots
+        assert moved.control_points.shape == curve.control_points.shape
+        assert not np.shares_memory(moved.control_points,
+                                    curve.control_points)
+        assert moved.domain == curve.domain
+        # Direct construction still checks its input.
+        with pytest.raises(GeometryError, match="non-decreasing"):
+            BSplineCurve(3, curve.control_points, curve.knots[::-1])
 
 
 class TestScenarioBounds:
@@ -193,6 +218,16 @@ class TestDesignVector:
         x[3] = 0.3
         with pytest.raises(GeometryError):
             DesignVector(x, lb, ub)
+
+    @pytest.mark.parametrize("field", ["offsets", "lb", "ub"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input_naming_the_component(self, field,
+                                                            value):
+        lb, ub = scenario_bounds("II.a")
+        args = {"offsets": np.zeros(18), "lb": lb.copy(), "ub": ub.copy()}
+        args[field][3] = value
+        with pytest.raises(GeometryError, match="^component 4: .*not finite"):
+            DesignVector(**args)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +284,29 @@ class TestSynthesize:
         np.testing.assert_allclose(
             design.roof.control_points[2:, 1]
             - reference.roof.control_points[2:, 1], 0.25)
+
+    def test_station_grid_is_shared_and_read_only(self, reference):
+        lb, ub = scenario_bounds("I.b")
+        a = synthesize(reference, DesignVector(lb.copy(), lb, ub))
+        b = synthesize(reference, DesignVector(ub.copy(), lb, ub))
+        assert a.xs is b.xs
+        np.testing.assert_array_equal(
+            a.xs, np.linspace(a.xs[0], a.xs[-1], geometry.N_STATIONS))
+        with pytest.raises(ValueError):
+            a.xs[0] = 1.0
+        with pytest.raises(ValueError):
+            a.xs.flags.writeable = True
+
+    def test_outlet_radii_follow_their_own_reference(self, reference):
+        lb, ub = scenario_bounds("II.a")
+        x = DesignVector(np.zeros(18), lb, ub)
+        before = synthesize(reference, x).r_out
+        halved = dataclasses.replace(reference, r_r=reference.r_r / 2,
+                                     r_f=reference.r_f / 2)
+        assert synthesize(halved, x).r_out == (before[0] / 2, before[1] / 2)
+        assert synthesize(reference, x).r_out == before
+        with pytest.raises(ValueError):
+            reference.r_r[0] = 0.0
 
     def test_roof_floor_crossing_rejected(self, reference):
         lb = np.full(14, -2.0)
@@ -324,11 +382,13 @@ def _station_grids():
 class TestStationGradient:
     @pytest.mark.parametrize("grid", ["I.a", "I.b", "II.a", "II.b",
                                       "uniform", "uniform-3", "random"])
-    @pytest.mark.parametrize("shape", [(84,), (3, 84)])
+    @pytest.mark.parametrize("shape", [(84,), (3, 84), (2, 3, 84), "F"])
     def test_equals_numpy_gradient_bitwise(self, grid, shape):
         xs = _station_grids()[grid]
         rng = np.random.Generator(np.random.PCG64(len(shape)))
-        F = rng.normal(size=shape)
+        # "F": a Fortran-ordered (3, 84) stack, not contiguous along rows.
+        F = (rng.normal(size=(84, 3)).T if shape == "F"
+             else rng.normal(size=shape))
         expected = np.gradient(F, xs, axis=-1)
         assert geometry.station_gradient(F, xs).tobytes() == expected.tobytes()
         # Applied twice, as the curvature penalty does.
@@ -336,7 +396,7 @@ class TestStationGradient:
                 .tobytes() == np.gradient(expected, xs, axis=-1).tobytes())
 
     def test_uniform_grid_takes_the_uniform_branch(self):
-        abc, dx_0, dx_n = geometry._memo_stencil(np.arange(84.0).tobytes())
+        abc, dx_0, dx_n = geometry._memo_stencil(np.arange(84.0).tobytes(), 1)
         assert abc is None and dx_0 == dx_n == 1.0
 
     def test_coefficients_are_shared_and_read_only(self):
@@ -345,7 +405,7 @@ class TestStationGradient:
         for _ in range(3):
             geometry.station_gradient(np.ones(84), xs.copy())
         assert geometry._memo_stencil.cache_info().hits == 2
-        abc = geometry._memo_stencil(xs.tobytes())[0]
+        abc = geometry._memo_stencil(xs.tobytes(), 1)[0]
         with pytest.raises(ValueError):
             abc[0, 0] = 1.0
 
